@@ -393,7 +393,7 @@ def merge_segments(
                         "bucket": pa.array([], pa.int32()),
                     }
                 )
-            h = hash_terms(np.asarray(t["term"].to_pylist(), dtype=object))
+            h = hash_terms(np.asarray(t["term"].to_pylist(), dtype=object), memoize=False)
             return pa.table(
                 {
                     "term": t["term"],

@@ -39,6 +39,7 @@ import ray
 import ray.data
 
 from bitfunnel_ray.functions.hashing import hash_terms
+from bitfunnel_ray.ops.suggest import sum_by_term
 
 
 def deletion_variants(term: str, max_dist: int) -> set[str]:
@@ -187,24 +188,12 @@ def make_cand_fn(terms_sorted, dfs, matcher):
 
 
 def merge_candidate_partials(parts):
-    """Merge per-shard [(terms, dfs, dists)] candidate partials: df SUMS
-    per term (doc shards hold partial dfs; split stripes likewise), dist
-    is term-intrinsic (min just collapses duplicates).  None entries
-    (shards without a vocabulary) are skipped; returns [(term, df,
-    dist)]."""
-    acc: dict[str, list[int]] = {}
-    for p in parts:
-        if p is None:
-            continue
-        terms, dfs, dists = p
-        for t, df, d in zip(terms, dfs, dists):
-            hit = acc.get(str(t))
-            if hit is None:
-                acc[str(t)] = [int(df), int(d)]
-            else:
-                hit[0] += int(df)
-                hit[1] = min(hit[1], int(d))
-    return [(t, df, d) for t, (df, d) in acc.items()]
+    """Merge per-shard (terms, dfs, dists) candidate partials into [(term,
+    df, dist)]: df sums per term (doc shards hold partial dfs; split
+    stripes likewise), dist is term-intrinsic."""
+    dist = {str(t): int(d) for p in parts for t, d in zip(p[0], p[2])}
+    terms, dfs = sum_by_term([(p[0], p[1]) for p in parts])
+    return [(t, df, dist[t]) for t, df in zip(terms.tolist(), dfs.tolist())]
 
 
 def _harvest(t: pa.Table, *, want_ref) -> pa.Table:

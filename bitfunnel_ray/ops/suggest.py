@@ -114,47 +114,33 @@ class SuggestIndex:
         )
 
     def complete(self, prefix: str, k: int = 10) -> pa.Table:
-        lo = int(np.searchsorted(self.terms, prefix, side="left"))
-        hi = int(np.searchsorted(self.terms, prefix + self._HI, side="right"))
-        return _finish(self.terms[lo:hi], self.dfs[lo:hi], k)
+        return _finish(*self.prefix_range(prefix), k)
 
-    def prefix_range(self, prefix: str, cap: int | None = None):
-        """The FULL (terms, dfs) slice matching ``prefix`` (df-desc order,
-        capped at ``cap`` rows) — the per-shard candidate feed for a
-        cross-shard merge where dfs must SUM per term before the global
-        top-k cut (doc-sharded serving: each shard holds a partial df)."""
+    def prefix_range(self, prefix: str):
+        """The (terms, dfs) slice matching ``prefix``, term order."""
         lo = int(np.searchsorted(self.terms, prefix, side="left"))
         hi = int(np.searchsorted(self.terms, prefix + self._HI, side="right"))
-        t, d = self.terms[lo:hi], self.dfs[lo:hi]
-        if cap is not None and len(t) > cap:
-            order = np.lexsort((t, -d))[:cap]
-            t, d = t[order], d[order]
-        return t, d
+        return self.terms[lo:hi], self.dfs[lo:hi]
+
+
+def sum_by_term(parts) -> "tuple[np.ndarray, np.ndarray]":
+    """(terms ascending, dfs summed per term) over (terms, dfs) partials —
+    a term's df may be split across segments, doc shards, or term shards
+    whose segments use different bucket counts."""
+    ts = [np.asarray(t, dtype=str) for t, _ in parts]
+    ds = [np.asarray(d, dtype=np.int64) for _, d in parts]
+    terms = np.concatenate(ts) if ts else np.array([], dtype=str)
+    dfs = np.concatenate(ds) if ds else np.array([], dtype=np.int64)
+    order = np.argsort(terms, kind="stable")
+    terms, dfs = terms[order], dfs[order]
+    if not len(terms):
+        return terms, dfs
+    starts = np.flatnonzero(np.concatenate([[True], terms[1:] != terms[:-1]]))
+    return terms[starts], np.add.reduceat(dfs, starts)
 
 
 def merge_suggest_partials(parts, k: int = 10) -> pa.Table:
-    """Merge per-shard (terms, dfs) candidate partials into the global
-    top-k: dfs SUM per term across shards (a term's df may be split
-    across doc shards, or across term shards when segments use different
-    bucket counts), then the same (df desc, term asc) cut as
-    ``SuggestIndex.complete``.  ``parts`` is an iterable of
-    (terms ndarray, dfs ndarray) pairs; None entries (shards without a
-    vocabulary) are skipped."""
-    ts, ds = [], []
-    for p in parts:
-        if p is None:
-            continue
-        t, d = p
-        if len(t):
-            ts.append(np.asarray(t, dtype=str))
-            ds.append(np.asarray(d, dtype=np.int64))
-    if not ts:
-        return pa.table(
-            {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-        )
-    terms = np.concatenate(ts)
-    dfs = np.concatenate(ds)
-    order = np.argsort(terms, kind="stable")
-    terms, dfs = terms[order], dfs[order]
-    starts = np.flatnonzero(np.concatenate([[True], terms[1:] != terms[:-1]]))
-    return _finish(terms[starts], np.add.reduceat(dfs, starts), k)
+    """The global top-k of per-shard (terms, dfs) partials: dfs sum per
+    term, then the same (df desc, term asc) cut as
+    ``SuggestIndex.complete``."""
+    return _finish(*sum_by_term(parts), k)

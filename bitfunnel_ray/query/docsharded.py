@@ -39,6 +39,9 @@ import pyarrow as pa
 import ray
 
 from bitfunnel_ray.build import segment as seglib
+from bitfunnel_ray.query import ast
+from bitfunnel_ray.query.parser import parse_query
+from bitfunnel_ray.query.vocab import gather
 
 
 @ray.remote(max_concurrency=4)
@@ -54,8 +57,21 @@ class DocShardActor:
         return self.engine.n_docs, int(round(self.engine.avgdl * self.engine.n_docs))
 
     def scoring_pairs(self, query: str) -> "list[tuple[int, int]]":
-        node = self.engine._parse_rewritten(query)
-        return [(int(h), int(g)) for h, g in self.engine.scoring_terms(node)]
+        return self.scoring_pairs_many([query])[0][0]
+
+    def scoring_pairs_many(self, queries: "list[str]"):
+        """Per query: (scoring (term_hash, gram) pairs, has a fuzzy term).
+        Only a fuzzy query's pairs depend on the shard (its expansion runs
+        against this shard's vocabulary)."""
+        eng = self.engine
+        out = []
+        for q in queries:
+            node = parse_query(q, eng.stream_map)
+            fuzzy = ast.has_fuzzy(node)
+            if fuzzy:
+                node = eng._parse_rewritten(q)
+            out.append(([(int(h), int(g)) for h, g in eng.scoring_terms(node)], fuzzy))
+        return out
 
     def term_stats(self, pairs: "list[tuple[int, int]]") -> "list[int]":
         """Local df per (term_hash, gram)."""
@@ -104,12 +120,6 @@ class DocShardActor:
             mult = boosts.get((h, g), 1.0)
             total += idf * (k1 + 1.0) * best * mult
         return total
-
-    def scoring_pairs_many(self, queries: "list[str]") -> "list[list[tuple[int, int]]]":
-        return [self.scoring_pairs(q) for q in queries]
-
-    def term_stats_many(self, pairs: "list[tuple[int, int]]") -> "list[int]":
-        return self.term_stats(pairs)
 
     def search_topk_many(
         self,
@@ -177,8 +187,6 @@ class DocShardActor:
         so shard partials and the single-process reference path see the
         same AST (a ``_parse_rewritten`` here would diverge on fuzzy
         queries, which need the serving vocabulary)."""
-        from bitfunnel_ray.query.parser import parse_query
-
         eng = self.engine
         return np.sort(eng.eval(parse_query(query, eng.stream_map)).astype(np.int64))
 
@@ -197,8 +205,6 @@ class DocShardActor:
         """(n, min, max, sum) of the doc-values column over the local
         match set, nulls excluded — the mergeable form of the ES
         ``stats`` aggregation."""
-        from bitfunnel_ray.query.parser import parse_query
-
         eng = self.engine
         matches = eng.eval(parse_query(query, eng.stream_map))
         v = eng.docvalues_for(matches, col)
@@ -211,48 +217,14 @@ class DocShardActor:
         """Matched non-null doc-values (for exact percentiles: the front
         concatenates shard values and takes one global quantile — ships
         O(local matches) float64, same order as a local docvalues read)."""
-        from bitfunnel_ray.query.parser import parse_query
-
         eng = self.engine
         matches = eng.eval(parse_query(query, eng.stream_map))
         v = eng.docvalues_for(matches, col)
         return v[~np.isnan(v)]
 
-    # --- vocabulary services (autocomplete + fuzzy expansion) ------------
-
-    def suggest_range(self, prefix: str, cap: int = 4096):
-        """This shard's FULL prefix-matching (terms, dfs) slice (df-desc
-        capped at ``cap``), or None without a vocab sidecar.  Doc shards
-        hold PARTIAL dfs (a term's docs span shards), so the front must
-        sum per term before the top-k cut — hence a range, not a top-k.
-        Raises (via the engine's sidecar loader) when only SOME of this
-        shard's segments carry a sidecar — a partial vocabulary would be
-        silently wrong.  Fuzzy queries need no counterpart RPC: each
-        shard's engine expands ``term~d`` against its own sidecar
-        vocabulary during scoring, and ``_stats_round`` unions the
-        resulting scoring pairs across shards."""
-        eng = self.engine
-        if eng.suggest_index is None:
-            eng._materialize_vocab()  # lazy sidecar load; no-op without one
-        si = eng.suggest_index
-        if si is None:
-            return None
-        terms, dfs = si.prefix_range(prefix, cap)
-        return (terms.tolist(), dfs.tolist())
-
-    def correct_candidates(self, token: str, max_dist: int = 2):
-        """Did-you-mean candidates from this shard's engine vocabulary as
-        (terms, dfs, dists) lists — dfs are LOCAL (this shard's docs);
-        the front sums them per term for the exact global ranking.  None
-        without a vocab sidecar."""
-        c = self.engine.correct_candidates(token, int(max_dist))
-        if c is None:
-            return None
-        return (
-            [t for t, _df, _d in c],
-            [df for _t, df, _d in c],
-            [d for _t, _df, d in c],
-        )
+    def vocab(self, op: str, *args):
+        """``Vocab.<op>`` over this shard's segments (local dfs)."""
+        return getattr(self.engine.vocab, op)(*args)
 
 
 class DocShardedServer:
@@ -287,22 +259,8 @@ class DocShardedServer:
         )
 
     def _stats_round(self, query: str) -> "dict[tuple[int, int], int]":
-        # phase 1: global df for the query's scoring terms.  The pair set
-        # is the UNION across shards, not shard 0's alone: with per-shard
-        # vocab sidecars a fuzzy term's expansion is vocabulary-dependent,
-        # and a member that exists only in another shard's docs must still
-        # get a global-df entry (its score contribution there needs it).
-        # For plain queries every shard derives the identical set (the
-        # parse is config-determined) and the union is a no-op.
-        per_shard_pairs = ray.get(
-            [s.scoring_pairs.remote(query) for s in self.shards]
-        )
-        pairs = sorted({p for sp in per_shard_pairs for p in sp})
-        per_shard = ray.get([s.term_stats.remote(pairs) for s in self.shards])
-        return {
-            p: sum(shard_dfs[i] for shard_dfs in per_shard)
-            for i, p in enumerate(pairs)
-        }
+        # phase 1: global df for the query's scoring terms
+        return _global_df(self.shards, [query], {})
 
     def search(
         self,
@@ -486,81 +444,31 @@ class DocShardedServer:
         """Sum of shard-local match counts (doc sets are disjoint)."""
         return sum(ray.get([s.match_count.remote(query) for s in self.shards]))
 
-    def suggest(self, prefix: str, k: int = 10, cap: int = 4096) -> pa.Table:
-        """Top-k prefix completions over the doc-sharded corpus: every
-        shard returns its full prefix range (partial dfs — its docs
-        only), the front SUMS df per term and cuts to k — exact global
-        ranking because a document lives in exactly one shard, as long
-        as no shard's range hit ``cap`` (raise it for very short
-        prefixes over huge vocabularies).  Needs segments built with
-        EngineConfig.extra['vocab_sidecar']; raises if none carry one."""
-        from bitfunnel_ray.ops.suggest import merge_suggest_partials
-
-        parts = ray.get(
-            [s.suggest_range.remote(prefix, int(cap)) for s in self.shards]
-        )
-        if all(p is None for p in parts):
+    # --- vocabulary: gathered from every shard's sidecars (partial dfs) ---
+    def _vocab_gather(self, op: str, *args):
+        got = gather(op, ray.get([s.vocab.remote(op, *args) for s in self.shards]), *args)
+        if got is None:
             raise RuntimeError(
                 "no vocab sidecar in any shard's segments — build with "
                 "EngineConfig.extra['vocab_sidecar']=True (cli build --vocab)"
             )
-        if any(p is None for p in parts):
-            raise RuntimeError(
-                "some doc shards have no vocab sidecar — their terms would "
-                "be silently missing from completions; rebuild those "
-                "segments with vocab_sidecar (cli build --vocab)"
-            )
-        return self._merge_suggest(parts, k)
+        return got
 
-    def _merge_suggest(self, parts, k):
-        from bitfunnel_ray.ops.suggest import merge_suggest_partials
-
-        return merge_suggest_partials(
-            [
-                None
-                if p is None
-                else (np.asarray(p[0], dtype=str), np.asarray(p[1], np.int64))
-                for p in parts
-            ],
-            k,
-        )
+    def suggest(self, prefix: str, k: int = 10) -> pa.Table:
+        """Top-k prefix completions over the doc-sharded corpus: each
+        shard's df is partial (its docs only), so dfs sum per term before
+        the cut — exact, because a document lives in exactly one shard."""
+        return self._vocab_gather("prefix_range", prefix, int(k))
 
     def correct(self, query: str, max_dist: int = 2) -> pa.Table:
-        """Serve-time "did you mean" over the doc-sharded corpus: per
-        out-of-vocabulary plain token the best replacement by (edit
-        distance asc, GLOBAL df desc, term asc) — each shard matches its
-        local vocabulary, the front sums partial dfs per candidate term
-        (a document lives in exactly one shard, so the sum is exact).
-        Returns (token, suggestion, dist, df) rows; same ranking contract
-        as the offline ``ops/spell.correct_terms`` and the local
-        ``SearchEngine.correct``."""
-        from bitfunnel_ray.ops.spell import (
-            merge_candidate_partials,
-            serve_correct,
+        """Serve-time "did you mean" with GLOBAL dfs (summed per candidate
+        term); the same (token, suggestion, dist, df) rows and ranking
+        contract as the local ``SearchEngine.correct``."""
+        from bitfunnel_ray.ops.spell import serve_correct
+
+        return serve_correct(
+            query, lambda tok, d: self._vocab_gather("candidates", tok, int(d)), int(max_dist)
         )
-
-        def cand_fn(token: str, d: int):
-            parts = ray.get(
-                [s.correct_candidates.remote(token, int(d)) for s in self.shards]
-            )
-            if all(p is None for p in parts):
-                raise RuntimeError(
-                    "no vocab sidecar in any shard's segments — build with "
-                    "EngineConfig.extra['vocab_sidecar']=True (cli build "
-                    "--vocab)"
-                )
-            if any(p is None for p in parts):
-                # same mixed-state contract as suggest(): partial dfs
-                # would mark in-vocabulary tokens as misspelled (their
-                # dist-0 candidate may live only in a vocab-less shard)
-                raise RuntimeError(
-                    "some doc shards have no vocab sidecar — corrections "
-                    "would be silently wrong; rebuild those segments with "
-                    "vocab_sidecar (cli build --vocab)"
-                )
-            return merge_candidate_partials(parts)
-
-        return serve_correct(query, cand_fn, int(max_dist))
 
     def search_selective(self, query: str, k: int = 10, wave: int = 2) -> pa.Table:
         """Exact top-k probing as FEW shards as the scores allow — the
@@ -670,10 +578,31 @@ class DocShardedServer:
         self.shards = []
 
 
+def _global_df(shards, queries: "list[str]", df_cache: dict) -> "dict[tuple[int, int], int]":
+    """The stats round: global df of every scoring pair of ``queries``.
+    Shard 0 derives the pairs; only fuzzy queries also ask the other
+    shards, because a fuzzy expansion depends on each shard's vocabulary
+    and a member that exists only in another shard's docs still needs a
+    global df.  Local dfs of pairs missing from ``df_cache`` are summed
+    over one stats RPC per shard and cached there."""
+    first = ray.get(shards[0].scoring_pairs_many.remote(queries))
+    pairs = {p for ps, _ in first for p in ps}
+    fuzzy = [q for q, (_, f) in zip(queries, first) if f]
+    if fuzzy and len(shards) > 1:
+        more = ray.get([s.scoring_pairs_many.remote(fuzzy) for s in shards[1:]])
+        pairs |= {p for res in more for ps, _ in res for p in ps}
+    need = sorted(p for p in pairs if p not in df_cache)
+    if need:
+        per_shard = ray.get([s.term_stats.remote(need) for s in shards])
+        for i, p in enumerate(need):
+            df_cache[p] = sum(d[i] for d in per_shard)
+    return {p: df_cache[p] for p in sorted(pairs)}
+
+
 class _DocShardedFront:
-    """map_batches front-end for ``DocShardedServer.run``: per batch, one
-    pairs RPC + one stats RPC per shard (batch-union of terms) + one
-    scoring RPC per shard; global df cached across batches."""
+    """map_batches front-end for ``DocShardedServer.run``: per batch, the
+    stats round over the batch's terms (``_global_df``; global df cached
+    across batches) + one scoring RPC per shard."""
 
     def __init__(self, shard_handles, k: int, n_docs: int, avgdl: float):
         self.shards = shard_handles
@@ -685,27 +614,7 @@ class _DocShardedFront:
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids = batch["query_id"].to_pylist()
         qs = batch["query"].to_pylist()
-        # union of every shard's pair derivation (see _stats_round: fuzzy
-        # expansion is vocabulary-dependent per shard)
-        per_shard_q_pairs = ray.get(
-            [s.scoring_pairs_many.remote(qs) for s in self.shards]
-        )
-        per_q_pairs = [
-            sorted({p for sp in per_shard_q_pairs for p in sp[qi]})
-            for qi in range(len(qs))
-        ]
-        need = sorted(
-            {p for pairs in per_q_pairs for p in pairs if p not in self._df_cache}
-        )
-        if need:
-            per_shard = ray.get(
-                [s.term_stats_many.remote(need) for s in self.shards]
-            )
-            for i, p in enumerate(need):
-                self._df_cache[p] = sum(d[i] for d in per_shard)
-        df_map = {
-            p: self._df_cache[p] for pairs in per_q_pairs for p in pairs
-        }
+        df_map = _global_df(self.shards, qs, self._df_cache)
         parts = ray.get(
             [
                 s.search_topk_many.remote(qs, self.k, df_map, self.n_docs, self.avgdl)

@@ -40,6 +40,7 @@ from bitfunnel_ray.build.encode import decode_chunk
 from bitfunnel_ray.functions.hashing import murmur64a, ngram_hash
 from bitfunnel_ray.query import ast
 from bitfunnel_ray.query.parser import parse_query
+from bitfunnel_ray.query.vocab import Vocab
 
 
 class _Segment:
@@ -240,16 +241,14 @@ class QueryAlgebra:
         # general hash = rawHash + streamId (ComputeGeneralHash parity)
         return self.postings((murmur64a(text) + stream) & 0xFFFFFFFFFFFFFFFF, 1)
 
-    # --- fuzzy expansion ---------------------------------------------------
-    # the ``term~d`` operator needs the vocabulary TEXT, which posting
-    # dictionaries do not store (hashes only) — serving loads it once via
-    # set_fuzzy_vocabulary (from the df table / TermToText sidecar), the
-    # same lifecycle as the dictionaries themselves
+    # --- vocabulary: suggest, fuzzy ``term~d`` and "did you mean" ---------
+    # dictionaries store hashes, not text, so these surfaces need a (term,
+    # df) vocabulary: one a caller installs via set_* (it wins, and
+    # survives refresh), else the segments' sidecars through the engine's
+    # lazy ``vocab`` service (query/vocab.py; None on fronts without one)
     fuzzy_matcher = None
-    # True once a CALLER installed a vocabulary via set_*; sidecar
-    # auto-installs never set it, so refresh() can tell the two apart and
-    # leave hand-installed vocabularies untouched
-    _vocab_user_installed = False
+    suggest_index = None
+    vocab = None
 
     def set_fuzzy_vocabulary(self, terms) -> None:
         """Install the vocabulary used to expand ``term~d`` fuzzy queries
@@ -258,20 +257,6 @@ class QueryAlgebra:
         from bitfunnel_ray.query.fuzzy import VocabFuzzyMatcher
 
         self.fuzzy_matcher = VocabFuzzyMatcher(terms)
-        self._vocab_user_installed = True
-
-    def _materialize_vocab(self) -> None:
-        """Hook: engines with a DEFERRED vocabulary source (the per-
-        segment vocab sidecar) load and install it here, on first
-        suggest/fuzzy use — never in __init__ (a 10^8-term vocabulary
-        costs seconds + GBs; most engines never touch it).  Base class:
-        no-op."""
-
-    # --- prefix autocomplete ----------------------------------------------
-    # same lifecycle as the fuzzy vocabulary: dictionaries store hashes,
-    # not text, so serving installs the (term, df) vocabulary once (df
-    # table / TermToText sidecar) and answers keystrokes locally
-    suggest_index = None
 
     def set_suggest_vocabulary(self, terms, dfs) -> None:
         """Install the unigram (term, df) vocabulary behind ``suggest``
@@ -279,38 +264,38 @@ class QueryAlgebra:
         from bitfunnel_ray.ops.suggest import SuggestIndex
 
         self.suggest_index = SuggestIndex(terms, dfs)
-        self._vocab_user_installed = True
+
+    def _installed_or_sidecar(self, name: str):
+        got = getattr(self, name)
+        if got is None and self.vocab is not None:
+            got = getattr(self.vocab, name)
+        return got
 
     def suggest(self, prefix: str, k: int = 10) -> pa.Table:
         """Top-k prefix completions (df desc, term asc) — search-as-you-
-        type over the installed vocabulary."""
-        if self.suggest_index is None:
-            self._materialize_vocab()
-        if self.suggest_index is None:
+        type over the vocabulary."""
+        si = self._installed_or_sidecar("suggest_index")
+        if si is None:
             raise RuntimeError(
                 "no suggest vocabulary installed — call "
                 "set_suggest_vocabulary(terms, dfs) with the df table / "
                 "TermToText sidecar"
             )
-        return self.suggest_index.complete(prefix, k)
+        return si.complete(prefix, k)
 
     # --- "did you mean" (serve-time spelling correction) -------------------
     def correct_candidates(self, token: str, max_dist: int = 2):
         """Vocabulary candidates for one query token as [(term, df,
         dist)] — exact-token included with dist 0 when in-vocabulary, or
         None when no vocabulary is installed/available.  Backs
-        ``correct()`` locally; the sharded fronts scatter this per shard
-        and sum-merge dfs."""
-        if self.fuzzy_matcher is None or self.suggest_index is None:
-            self._materialize_vocab()
-        if self.fuzzy_matcher is None or self.suggest_index is None:
+        ``correct()``; the sharded fronts gather it per shard."""
+        si = self._installed_or_sidecar("suggest_index")
+        m = self._installed_or_sidecar("fuzzy_matcher")
+        if si is None or m is None:
             return None
         from bitfunnel_ray.ops.spell import make_cand_fn
 
-        si = self.suggest_index
-        return make_cand_fn(si.terms, si.dfs, self.fuzzy_matcher)(
-            token, int(max_dist)
-        )
+        return make_cand_fn(si.terms, si.dfs, m)(token, int(max_dist))
 
     def correct(self, query: str, max_dist: int = 2) -> pa.Table:
         """Serve-time "did you mean": per misspelled (out-of-vocabulary)
@@ -357,14 +342,13 @@ class QueryAlgebra:
         if synonyms:
             node = ast.expand_synonyms(node, synonyms)
         if ast.has_fuzzy(node):
-            if self.fuzzy_matcher is None:
-                self._materialize_vocab()
-            if self.fuzzy_matcher is None:
+            m = self._installed_or_sidecar("fuzzy_matcher")
+            if m is None:
                 raise ValueError(
                     "query uses the fuzzy operator (~d) but no vocabulary is "
                     "installed — call set_fuzzy_vocabulary(terms) first"
                 )
-            node = ast.expand_fuzzy(node, self.fuzzy_matcher)
+            node = ast.expand_fuzzy(node, m)
         return node
 
     # --- term extraction --------------------------------------------------
@@ -1005,67 +989,12 @@ class SearchEngine(QueryAlgebra):
         )
         self._cache: dict[tuple[int, int], Postings] = {}
         self._docvalues: dict[str, np.ndarray] = {}
-        # vocab sidecar (built with EngineConfig.extra["vocab_sidecar"]):
-        # segments carry their (term, df) text stripes — suggest + fuzzy
-        # install LAZILY from them on first use (_materialize_vocab), and
-        # re-merge on refresh() so NRT-ingested terms become
-        # completable/fuzzy-matchable without a rebuild.  Detection here
-        # is isdir-cheap; nothing is read until a suggest/fuzzy call.
-        self._vocab_from_sidecar = False
-        self._vocab_pending = self._any_vocab_sidecar()
+        # segments' vocab sidecars: read on first suggest/fuzzy/correct use
+        self.vocab = Vocab(index_dirs)
 
-    def _any_vocab_sidecar(self) -> bool:
-        return any(
-            os.path.isdir(os.path.join(s.dir, "vocab")) for s in self.segments
-        )
-
-    def _materialize_vocab(self) -> None:
-        """Merge every segment's ``vocab/`` sidecar (term, df; df sums per
-        term across segments) into the suggest + fuzzy vocabularies —
-        called on FIRST suggest/fuzzy use, never in __init__.  A mix of
-        sidecar and sidecar-less segments raises (a silently partial
-        vocabulary would complete/expand with missing terms and
-        undercounted dfs); rebuild the old segments with --vocab or
-        install a vocabulary explicitly via set_*."""
-        if not self._vocab_pending or self._vocab_user_installed:
-            return
-        from bitfunnel_ray.ops.suggest import SuggestIndex
-        from bitfunnel_ray.query.fuzzy import VocabFuzzyMatcher
-
-        missing = [
-            s.dir
-            for s in self.segments
-            if not os.path.isdir(os.path.join(s.dir, "vocab"))
-        ]
-        if missing:
-            raise RuntimeError(
-                "segments without a vocab sidecar alongside segments that "
-                f"have one: {missing} — a partial vocabulary would return "
-                "silently wrong completions/expansions; rebuild those "
-                "segments with vocab_sidecar (cli build --vocab) or install "
-                "a vocabulary explicitly via set_suggest_vocabulary/"
-                "set_fuzzy_vocabulary"
-            )
-        parts = [
-            pq.read_table(os.path.join(s.dir, "vocab"), columns=["term", "df"])
-            for s in self.segments
-        ]
-        t = pa.concat_tables(parts)
-        terms = np.asarray(t["term"].to_pylist())
-        dfs = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(terms, kind="stable")
-        terms, dfs = terms[order], dfs[order]
-        if len(terms):
-            starts = np.flatnonzero(
-                np.concatenate([[True], terms[1:] != terms[:-1]])
-            )
-            terms, dfs = terms[starts], np.add.reduceat(dfs, starts)
-        # install directly (NOT via set_*: those latch the user-installed
-        # flag that protects hand-installed vocabularies from refresh)
-        self.suggest_index = SuggestIndex(terms, dfs)
-        self.fuzzy_matcher = VocabFuzzyMatcher(terms)
-        self._vocab_from_sidecar = True
-        self._vocab_pending = False
+    @property
+    def _vocab_pending(self) -> bool:
+        return self.vocab.pending
 
     def refresh(self) -> int:
         """Open segments that completed since this engine loaded — the
@@ -1120,20 +1049,9 @@ class SearchEngine(QueryAlgebra):
         self._docvalues.clear()
         self._docstore = None
         self._invalidate_result_cache()
-        # vocabulary staleness under NRT ingest: a sidecar-installed
-        # suggest/fuzzy vocabulary is a point-in-time df snapshot — drop it
-        # so the next suggest/fuzzy use re-merges over the grown segment
-        # set (terms that exist only in the new segments become
-        # immediately completable and matchable).  Hand-installed
-        # vocabularies (set_* latches _vocab_user_installed) are left
-        # untouched; an engine that opened WITHOUT sidecars also picks up
-        # sidecar-built segments added later (pending re-detects).
-        if not self._vocab_user_installed:
-            if self._vocab_from_sidecar:
-                self.suggest_index = None
-                self.fuzzy_matcher = None
-                self._vocab_from_sidecar = False
-            self._vocab_pending = self._any_vocab_sidecar()
+        # a sidecar vocabulary is a df snapshot: the next use re-merges
+        # over the grown segment set (installed vocabularies stay)
+        self.vocab = Vocab([s.dir for s in self.segments])
         return len(new)
 
     # --- stored fields (ES _source analog) ---------------------------------

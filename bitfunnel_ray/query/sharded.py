@@ -32,6 +32,7 @@ point-wise, exactly the "shared index" case the Dataset API can't hold.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -47,6 +48,7 @@ from bitfunnel_ray.query.engine import (
     _Segment,
     merge_chunks,
 )
+from bitfunnel_ray.query.vocab import Vocab, gather
 
 
 class LruCache:
@@ -103,17 +105,6 @@ class IndexShardActor:
         # multi-MB posting lists per hot term (F× shard CPU, F× copies)
         self._ref_cache = LruCache(65536)
         self.segments = []
-        # vocabulary stripes (segments built with vocab_sidecar): this
-        # shard's 1/S of each segment's (term, df) text rows, selected by
-        # bucket % n_shards == shard_id — the same membership rule as the
-        # dict buckets, so a shard can complete/fuzzy-match exactly the
-        # terms it serves postings for.  Suggest/fuzzy indexes build
-        # LAZILY (first call) and reset on refresh().
-        self._vocab_parts: "list[tuple[np.ndarray, np.ndarray]]" = []
-        self._vocab_missing: "list[str]" = []  # segments without a stripe
-        self._suggest = None
-        self._fuzzy = None
-        self._vsorted = None
         local_doc_parts = []
         # docmeta slice recipe: (file, row_mask|None) pairs — doc-values
         # columns load lazily from exactly this slice (see _local_docvalue)
@@ -126,6 +117,14 @@ class IndexShardActor:
             if local_doc_parts
             else np.empty(0, np.uint64)
         )
+        self._new_vocab()
+
+    def _new_vocab(self) -> None:
+        # this shard's stripe of the segments' vocab sidecars, read lazily
+        # on the first suggest/fuzzy/correct RPC
+        self._vocab = Vocab(
+            [s.dir for s in self.segments], shard=(self.shard_id, self.n_shards)
+        )
 
     def _open_dir(self, d: str, local_doc_parts: list) -> None:
         """Open one segment dir: this shard's bucket subset + its docmeta
@@ -137,24 +136,6 @@ class IndexShardActor:
         num_buckets = int(man["config"]["num_buckets"])
         mine = [b for b in range(num_buckets) if b % n_shards == shard_id]
         self.segments.append(_Segment(d, buckets=mine))
-        vdir = os.path.join(d, "vocab")
-        if os.path.isdir(vdir):
-            vt = pq.read_table(vdir, columns=["term", "df", "bucket"])
-            mask = (
-                vt["bucket"].to_numpy(zero_copy_only=False) % n_shards == shard_id
-            )
-            sub = vt.filter(pa.array(mask))
-            self._vocab_parts.append(
-                (
-                    np.asarray(sub["term"].to_pylist(), dtype=str),
-                    sub["df"].to_numpy(zero_copy_only=False).astype(np.int64),
-                )
-            )
-            self._suggest = None
-            self._fuzzy = None
-            self._vsorted = None
-        else:
-            self._vocab_missing.append(d)
         meta_files = sorted(glob.glob(os.path.join(d, "docmeta", "*.parquet")))
         if len(meta_files) >= n_shards:
             # file-granular slice: each shard READS only ~1/S of the
@@ -204,6 +185,7 @@ class IndexShardActor:
             )
             self._ref_cache = LruCache(self._ref_cache.cap)
             self._docvals.clear()
+            self._new_vocab()
         return opened
 
     def postings_many(self, pairs: "list[tuple[int, int]]", serve_avgdl: float):
@@ -282,93 +264,9 @@ class IndexShardActor:
         ok = ids[pos] == sorted_ids
         return sorted_ids[ok], vals[pos[ok]]
 
-    # --- vocabulary services (autocomplete + fuzzy expansion) ------------
-    def _vocab_guard(self) -> bool:
-        """False = no vocab anywhere (caller returns None); raises on a
-        MIX of sidecar and sidecar-less segments — a partial stripe would
-        return silently wrong completions/expansions."""
-        if not self._vocab_parts:
-            return False
-        if self._vocab_missing:
-            raise RuntimeError(
-                "segments without a vocab sidecar alongside segments that "
-                f"have one: {self._vocab_missing} — rebuild them with "
-                "vocab_sidecar (cli build --vocab) so the shard stripes "
-                "cover every segment"
-            )
-        return True
-
-    def _merged_vocab(self):
-        """This shard's (terms, dfs) stripe merged across segments (df
-        sums per term — a term stays in the same shard wherever segments
-        share a bucket count, so the local sum is its global df)."""
-        from bitfunnel_ray.ops.suggest import merge_suggest_partials
-
-        merged = merge_suggest_partials(self._vocab_parts, k=1 << 62)
-        return (
-            np.asarray(merged["term"].to_pylist(), dtype=str),
-            merged["df"].to_numpy(zero_copy_only=False),
-        )
-
-    def suggest(self, prefix: str, k: int = 10, cap: int = 4096):
-        """This shard's prefix-matching (terms list, dfs list) RANGE
-        (df-desc, capped at max(cap, k)), or None when no segment carried
-        a vocab sidecar.  A range, not a top-k: when segments use
-        DIFFERENT bucket counts a term's stripe rows can land in
-        different shards, so its df is split and only the front's
-        sum-then-cut merge (ops/suggest.merge_suggest_partials) ranks
-        correctly — a shard-side k-cut on partial dfs would drop split
-        terms that belong in the global top-k."""
-        if not self._vocab_guard():
-            return None
-        if self._suggest is None:
-            from bitfunnel_ray.ops.suggest import SuggestIndex
-
-            terms, dfs = self._merged_vocab()
-            self._suggest = SuggestIndex(terms, dfs)
-        t, d = self._suggest.prefix_range(prefix, max(int(cap), int(k)))
-        return (t.tolist(), d.tolist())
-
-    def fuzzy_match(self, text: str, dist: int):
-        """Vocabulary terms of THIS shard's stripe within edit distance
-        ``dist`` (sorted tuple), or None when no vocab sidecar — the
-        scatter-gather expansion backend ``query/fuzzy.py`` describes for
-        cluster-scale vocabularies."""
-        if not self._vocab_guard():
-            return None
-        if self._fuzzy is None:
-            from bitfunnel_ray.query.fuzzy import VocabFuzzyMatcher
-
-            self._fuzzy = VocabFuzzyMatcher(self._merged_vocab()[0])
-        return self._fuzzy(text, int(dist))
-
-    def _sorted_vocab(self):
-        if self._vsorted is None:
-            t, d = self._merged_vocab()
-            o = np.argsort(t, kind="stable")
-            self._vsorted = (t[o], d[o])
-        return self._vsorted
-
-    def correct_candidates(self, token: str, max_dist: int = 2):
-        """Did-you-mean candidates from THIS shard's stripe as (terms,
-        dfs, dists) lists (dfs PARTIAL when a term's stripe is split
-        across shards — the front sum-merges), or None when no vocab
-        sidecar."""
-        if not self._vocab_guard():
-            return None
-        if self._fuzzy is None:
-            from bitfunnel_ray.query.fuzzy import VocabFuzzyMatcher
-
-            self._fuzzy = VocabFuzzyMatcher(self._merged_vocab()[0])
-        from bitfunnel_ray.ops.spell import make_cand_fn
-
-        terms, dfs = self._sorted_vocab()
-        cands = make_cand_fn(terms, dfs, self._fuzzy)(token, int(max_dist))
-        return (
-            [t for t, _df, _d in cands],
-            [df for _t, df, _d in cands],
-            [d for _t, _df, d in cands],
-        )
+    def vocab(self, op: str, *args):
+        """``Vocab.<op>`` over this shard's vocabulary stripe."""
+        return getattr(self._vocab, op)(*args)
 
     def stats(self) -> dict:
         return {
@@ -457,12 +355,13 @@ class ShardedSearchEngine(QueryAlgebra):
             else None
         )
         self._cache = LruCache(cache_cap)
-        # segments built with vocab sidecars: fuzzy expansion runs where
-        # the vocabulary lives (per-shard stripes) — install the
-        # scatter-gather matcher so ``term~d`` works out of the box on the
-        # sharded front, no hand-installed front-side vocabulary needed
+        # segments built with vocab sidecars: ``term~d`` expands where the
+        # vocabulary lives (each shard matches its stripe, the front
+        # unions the members), memoized like VocabFuzzyMatcher
         if any(os.path.isdir(os.path.join(d, "vocab")) for d in index_dirs):
-            self.fuzzy_matcher = _ShardedFuzzyMatcher(self)
+            self.fuzzy_matcher = functools.lru_cache(maxsize=1024)(
+                lambda text, dist: self._vocab_gather("fuzzy", text, int(dist)) or ()
+            )
 
     # --- replica failover --------------------------------------------------
     def _rotate(self, s: int) -> None:
@@ -626,64 +525,31 @@ class ShardedSearchEngine(QueryAlgebra):
                 out[np.searchsorted(sorted_ids, ids_p)] = vals_p
         return out
 
-    # --- autocomplete over the shard vocabulary stripes --------------------
-    def suggest(self, prefix: str, k: int = 10) -> pa.Table:
-        """Top-k prefix completions, scatter-gathered exactly like search:
-        each shard answers from ITS 1/S vocabulary stripe (vocab sidecar,
-        loaded once per actor), the front merges per-shard partials with
-        df summed per term (ops/suggest.merge_suggest_partials).  Falls
-        back to a front-installed vocabulary (set_suggest_vocabulary)
-        when no shard carries a stripe."""
-        from bitfunnel_ray.ops.suggest import merge_suggest_partials
+    # --- vocabulary: gathered from the shard stripes ------------------------
+    def _vocab_gather(self, op: str, *args, owners=None):
+        return gather(op, self._call_all_shards("vocab", op, *args), *args, owners=owners)
 
-        parts = self._call_all_shards("suggest", prefix, int(k))
-        if all(p is None for p in parts):
-            return super().suggest(prefix, k)  # raises if nothing installed
-        return merge_suggest_partials(
-            [
-                None if p is None else (np.asarray(p[0], dtype=str), p[1])
-                for p in parts
-            ],
-            k,
-        )
+    def _vocab_owners(self, terms: np.ndarray) -> np.ndarray:
+        """(n_terms, n_shards) mask of the shards holding a stripe of each
+        term: bucket = hash % num_buckets of each segment."""
+        from bitfunnel_ray.functions.hashing import hash_terms
+
+        h = hash_terms(terms, memoize=False)
+        mask = np.zeros((len(h), self.n_shards), bool)
+        for nb in set(self._seg_buckets):
+            shard = (h % np.uint64(nb)) % np.uint64(self.n_shards)
+            mask[np.arange(len(h)), shard.astype(np.intp)] = True
+        return mask
+
+    def suggest(self, prefix: str, k: int = 10) -> pa.Table:
+        """Top-k prefix completions from the shard stripes, or from a
+        front-installed vocabulary when no shard carries one."""
+        got = self._vocab_gather("prefix_range", prefix, int(k), owners=self._vocab_owners)
+        return super().suggest(prefix, k) if got is None else got
 
     def correct_candidates(self, token: str, max_dist: int = 2):
-        """Scatter-gather did-you-mean candidates: each shard matches its
-        stripe, the front sum-merges partial dfs (split stripes) — same
-        shape as suggest.  Falls back to a front-installed vocabulary
-        when no shard carries a stripe."""
-        from bitfunnel_ray.ops.spell import merge_candidate_partials
-
-        parts = self._call_all_shards("correct_candidates", token, int(max_dist))
-        if all(p is None for p in parts):
-            return super().correct_candidates(token, max_dist)
-        return merge_candidate_partials(parts)
-
-
-class _ShardedFuzzyMatcher:
-    """Callable ``(text, dist) -> tuple[str]`` that expands fuzzy terms
-    where the vocabulary already lives: every shard matches its own
-    stripe (IndexShardActor.fuzzy_match) and the front unions the
-    members — the cluster-scale shape query/fuzzy.py documents (no
-    front-side copy of a 10^8-term vocabulary).  Memoized per
-    (text, dist) like VocabFuzzyMatcher."""
-
-    def __init__(self, engine: "ShardedSearchEngine", cache_cap: int = 1024):
-        self._engine = engine
-        self._cache: dict = {}
-        self._cache_cap = int(cache_cap)
-
-    def __call__(self, text: str, dist: int) -> tuple:
-        key = (text, int(dist))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        parts = self._engine._call_all_shards("fuzzy_match", text, int(dist))
-        out = tuple(sorted({m for p in parts if p is not None for m in p}))
-        if len(self._cache) >= self._cache_cap:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+        got = self._vocab_gather("candidates", token, int(max_dist))
+        return super().correct_candidates(token, max_dist) if got is None else got
 
 
 class ShardedQueryActor:

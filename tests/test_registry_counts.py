@@ -8,6 +8,7 @@ from pathlib import Path
 import __ray_entry__ as entry
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SURVEY = README.parent / "SURVEY.md"
 
 
 def test_readme_counts_match_registry():
@@ -17,6 +18,16 @@ def test_readme_counts_match_registry():
     n_q, n_o = int(m.group(1)), int(m.group(2))
     assert n_q == len(entry.queries())
     assert n_o == len(entry.oracle_sql())
+
+
+def test_survey_counts_match_registry():
+    m = re.search(
+        r"Registry: (\d+) `queries\(\)` entries, (\d+) with DuckDB oracles",
+        SURVEY.read_text(),
+    )
+    assert m, "SURVEY no longer states registry counts — update this test"
+    assert int(m.group(1)) == len(entry.queries())
+    assert int(m.group(2)) == len(entry.oracle_sql())
 
 
 def test_every_oracle_key_has_a_query():

@@ -241,10 +241,8 @@ def test_compaction_preserves_vocab(tmp_path_factory, ray_session):
         assert murmur64a(term) % nb == bucket
 
 
-def test_mixed_vocab_segments_raise(tmp_path_factory, ray_session):
-    """A root mixing sidecar and sidecar-less segments must raise loudly
-    on suggest/fuzzy — silently partial vocabularies are worse than an
-    error (review finding r5)."""
+@pytest.fixture(scope="module")
+def mixed_root(tmp_path_factory, ray_session):
     docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
     root = tmp_path_factory.mktemp("vocab_mixed")
     build_index(
@@ -255,14 +253,40 @@ def test_mixed_vocab_segments_raise(tmp_path_factory, ray_session):
         rd.from_arrow(_lift_documents_batch(docs.slice(250))),
         str(root / "seg-001"), CFG,  # no sidecar
     )
-    eng = SearchEngine(str(root))
-    with pytest.raises(RuntimeError, match="without a vocab sidecar"):
-        eng.suggest("sp", 5)
-    with pytest.raises((RuntimeError, ValueError)):
-        eng.search("spark~1", k=5)
-    # explicit install still works and wins over the broken sidecar state
-    eng.set_suggest_vocabulary(np.array(["ok"]), np.array([3]))
-    assert eng.suggest("o", 5)["term"].to_pylist() == ["ok"]
+    return str(root)
+
+
+@pytest.mark.parametrize("front", ["local", "sharded", "docsharded"])
+def test_mixed_vocab_segments_raise(mixed_root, front):
+    """A root mixing sidecar and sidecar-less segments must raise loudly
+    on suggest/fuzzy/correct, with the one shared message on every front
+    — silently partial vocabularies are worse than an error (review
+    finding r5)."""
+    from bitfunnel_ray.query.docsharded import DocShardedServer
+    from bitfunnel_ray.query.sharded import ShardedServer
+
+    srv = None
+    if front == "local":
+        eng = SearchEngine(mixed_root)
+    elif front == "sharded":
+        srv = ShardedServer(mixed_root, n_shards=2)
+        eng = srv.engine()
+    else:
+        srv = eng = DocShardedServer(mixed_root, n_shards=2)
+    try:
+        with pytest.raises(RuntimeError, match="without a vocab sidecar"):
+            eng.suggest("sp", 5)
+        with pytest.raises(RuntimeError, match="without a vocab sidecar"):
+            eng.correct("spurk")
+        with pytest.raises((RuntimeError, ValueError)):
+            eng.search("spark~1", k=5)
+        if front == "local":
+            # explicit install still works and wins over the broken sidecar state
+            eng.set_suggest_vocabulary(np.array(["ok"]), np.array([3]))
+            assert eng.suggest("o", 5)["term"].to_pylist() == ["ok"]
+    finally:
+        if srv is not None:
+            srv.shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -344,3 +368,107 @@ def test_sharded_refresh_updates_vocab(nrt_vocab, tmp_path_factory, ray_session)
         assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
     finally:
         srv.shutdown()
+
+
+@pytest.fixture(scope="module")
+def over_cap_root(tmp_path_factory, ray_session):
+    """Two segments (4 and 6 buckets) whose 20k+ "zq" terms overflow
+    every shard's prefix range cap, plus a planted term whose df is split
+    below each shard's cut-off but whose summed df ranks 5th:
+
+    - heavy terms zqh0..zqh3: in all 16 docs (df 16);
+    - fillers: 20000 terms in 4 docs of segment A (df 4);
+    - planted: 3 docs in each segment (df 3 + 3 = 6), its stripe rows in
+      different term shards (bucket % 3 differs between 4 and 6 buckets).
+    """
+    import itertools
+    import string
+
+    import pyarrow as pa
+
+    from bitfunnel_ray.functions.hashing import murmur64a
+    from bitfunnel_ray.query.vocab import RANGE_CAP
+
+    letters = ("".join(p) for p in itertools.product(string.ascii_lowercase, repeat=4))
+    fillers = ["zqf" + next(letters) for _ in range(5 * RANGE_CAP)]
+    plant = next(
+        t
+        for t in ("zqa" + "".join(p) for p in itertools.product(string.ascii_lowercase, repeat=2))
+        if (murmur64a(t) % 4) % 3 != murmur64a(t) % 3
+    )
+    heavy = " ".join(f"zqh{c}" for c in "abcd")
+    a_texts = [
+        " ".join([heavy] + (fillers if i < 4 else []) + ([plant] if i < 3 else []))
+        for i in range(8)
+    ]
+    b_texts = [" ".join([heavy] + ([plant] if i < 3 else [])) for i in range(8)]
+    root = tmp_path_factory.mktemp("vocab_over_cap")
+    for name, nb, texts, first in (("seg-000", 4, a_texts, 0), ("seg-001", 6, b_texts, 8)):
+        docs = pa.table(
+            {
+                "doc_id": pa.array(range(first, first + len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+                "lang": pa.array(["en"] * len(texts), pa.string()),
+            }
+        )
+        cfg = dataclasses.replace(
+            CFG, max_gram=1, num_buckets=nb, extra={"vocab_sidecar": True}
+        )
+        build_index(rd.from_arrow(_lift_documents_batch(docs)), str(root / name), cfg)
+    both = pa.concat_tables(
+        [pq.read_table(f"{root}/{s}/vocab", columns=["term", "df"]) for s in ("seg-000", "seg-001")]
+    )
+    agg = both.to_pandas().groupby("term", as_index=False)["df"].sum()
+    return str(root), plant, SuggestIndex(agg["term"].to_numpy(), agg["df"].to_numpy())
+
+
+@pytest.mark.parametrize("front", ["sharded", "docsharded"])
+def test_prefix_merge_over_cap_certified_or_raises(over_cap_root, front):
+    """Past the per-shard prefix range cap a shard's range is cut, and a
+    term whose split dfs each fall below every cut is dropped although its
+    summed df belongs in the top-k.  The front must return the brute-force
+    top-k or raise — never a silently wrong ranking.  Term sharding uses 3
+    shards: with 2, buckets 4 and 6 put a term's stripes in one shard."""
+    from bitfunnel_ray.query.docsharded import DocShardedServer
+    from bitfunnel_ray.query.sharded import ShardedServer
+
+    root, plant, truth = over_cap_root
+    if front == "sharded":
+        srv = ShardedServer(root, n_shards=3, num_cpus_per_shard=0.5)
+        eng = srv.engine()
+    else:
+        srv = eng = DocShardedServer(root, n_shards=2, num_cpus_per_shard=0.5)
+    try:
+        # the heavy terms clear every cut-off: certified, not raised
+        assert eng.suggest("zq", 4).equals(truth.complete("zq", 4))
+        want = truth.complete("zq", 5)
+        assert want["term"].to_pylist()[-1] == plant
+        try:
+            got = eng.suggest("zq", 5)
+        except RuntimeError as e:
+            assert "'zq'" in str(e)
+        else:
+            assert got.equals(want)
+    finally:
+        srv.shutdown()
+
+
+def test_gather_certifies_or_raises():
+    """The front merge on hand-made shard answers: whole ranges sum-merge;
+    a cut range certifies the top-k only when no left-out term can reach
+    it; shards without a vocabulary next to shards with one raise."""
+    from bitfunnel_ray.query.vocab import gather
+
+    whole = [(["a", "b"], [5, 1], None), (["a", "c"], [2, 4], None)]
+    assert gather("prefix_range", whole, "", 2).to_pydict() == {
+        "term": ["a", "c"],
+        "df": [7, 4],
+    }
+    # shard 0 cut at df 3: "c" (known 1) may hold up to 3 more there
+    cut = [(["a", "b"], [9, 3], 3), (["a", "c"], [2, 1], None)]
+    assert gather("prefix_range", cut, "", 1).to_pydict() == {"term": ["a"], "df": [11]}
+    with pytest.raises(RuntimeError, match="cannot be certified"):
+        gather("prefix_range", cut, "", 2)  # "c" (up to 4) could pass "b" (3)
+    assert gather("prefix_range", [None, None], "", 2) is None
+    with pytest.raises(RuntimeError, match="without a vocab sidecar"):
+        gather("candidates", [None, (["a"], [1], [0])], "a", 0)
