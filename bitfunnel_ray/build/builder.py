@@ -18,10 +18,14 @@ with no shared mutable state:
                      the spill) → per-bucket Arrow-IPC spill shards, plus
                      the ``docmeta/`` sidecar shards and the
                      (n_docs, sum_doclen) totals partials in the ack rows.
+                     With the vocab sidecar, each batch's unigram
+                     (term, df) partial is spilled by stripe next to the
+                     postings.
 3. encode pass     — one task per bucket reads its spill shards (row
                      counts cross-checked against the map acks), encodes
                      with the cache-blocked kernel, writes one dict
-                     parquet per bucket, atomically renamed (resume unit).
+                     parquet per bucket, atomically renamed (resume unit),
+                     preceded by the bucket's vocab stripe when enabled.
 
 Resume: existing bucket files are skipped *before* the spill (their
 postings are filtered out map-side), so a rerun after a kill only pays
@@ -42,7 +46,7 @@ import ray.data
 
 from bitfunnel_ray.build import segment
 from bitfunnel_ray.build.encode import encode_bucket
-from bitfunnel_ray.build.stats import DocMetaBatch, document_frequency_table
+from bitfunnel_ray.build.stats import document_frequency_table
 from bitfunnel_ray.config import EngineConfig
 from bitfunnel_ray.stages.tokenize import tokenize_batch
 
@@ -92,9 +96,9 @@ def assign_buckets(term_hash: np.ndarray, salt: np.ndarray, num_buckets: int) ->
 
 
 class TokenizePostings:
-    """corpus batch → posting rows. Stateful actor stage: the head-term
-    hash set is fetched from the object store once per actor (broadcast
-    lookup, not re-shipped per batch)."""
+    """corpus batch → posting rows.  Held once per spill worker
+    (``_SPILL_MEMO``): the head-term hash set is fetched from the object
+    store once, not re-shipped per batch."""
 
     def __init__(
         self,
@@ -125,9 +129,6 @@ class TokenizePostings:
         doc_ids = batch["doc_id"].to_numpy().astype(np.uint64)[r.row]
         doclen = r.doclen[r.row].astype(np.uint32)
         return hashes, r.gram_size, doc_ids, r.tf, doclen, r.doclen, r
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.build_postings(batch)[0]
 
     def build_postings(
         self, batch: pa.Table
@@ -218,6 +219,7 @@ ACK_SCHEMA = pa.schema(
     [
         ("bucket", pa.int32()),
         ("rows", pa.int64()),
+        ("vocab_rows", pa.int64()),
         ("n_docs", pa.int64()),
         ("sum_doclen", pa.int64()),
     ]
@@ -225,15 +227,15 @@ ACK_SCHEMA = pa.schema(
 
 
 def _spill_bucket_shards(
-    postings: pa.Table, spill_dir: str, compression: str | None = None,
-    shard: str | None = None,
-) -> tuple[list[int], list[int]]:
-    """Split a postings table by bucket and append one Arrow-IPC spill
-    shard per bucket (classic map-side shuffle-file layout).  The bucket
-    id lives in the directory name, so the shard itself drops the bucket
-    column — 4 fewer bytes per posting in the spill.  Uncompressed IPC:
-    the spill target is RAM-backed or node-local SSD and the encode side
-    reads it back exactly once (compression cost > I/O saved there).
+    table: pa.Table, spill_dir: str, compression: str | None = None,
+    shard: str | None = None, kind: str = "part",
+) -> "dict[int, int]":
+    """Split a table by its ``bucket`` column and write one Arrow-IPC
+    spill shard per bucket, ``bucket=B/{kind}-{shard}.arrow`` (classic
+    map-side shuffle-file layout; ``kind`` separates the postings from
+    the vocab partials that share the bucket dir).  The bucket id lives
+    in the directory name, so the shard itself drops the bucket column —
+    4 fewer bytes per posting in the spill.  Returns {bucket: rows}.
 
     ``shard`` names the per-batch file; callers pass a value derived
     deterministically from the batch (first doc_id) so a Ray task RETRY
@@ -241,14 +243,14 @@ def _spill_bucket_shards(
     (exactly-once spill under task retries)."""
     import pyarrow.ipc as _ipc
 
-    buckets = postings["bucket"].to_numpy(zero_copy_only=False)
+    buckets = table["bucket"].to_numpy(zero_copy_only=False)
     order = np.argsort(buckets, kind="stable")
     sorted_b = buckets[order]
     starts = np.flatnonzero(np.diff(sorted_b, prepend=-1))
     bounds = np.append(starts, len(sorted_b))
     idx = pa.array(order)
-    payload = postings.drop_columns(["bucket"])
-    out_b, out_n = [], []
+    payload = table.drop_columns(["bucket"])
+    out = {}
     shard = shard or uuid.uuid4().hex
     opts = _ipc.IpcWriteOptions(compression=compression) if compression else None
     for i in range(len(starts)):
@@ -257,12 +259,44 @@ def _spill_bucket_shards(
         d = os.path.join(spill_dir, f"bucket={b:05d}")
         os.makedirs(d, exist_ok=True)
         with _ipc.new_file(
-            os.path.join(d, f"part-{shard}.arrow"), sub.schema, options=opts
+            os.path.join(d, f"{kind}-{shard}.arrow"), sub.schema, options=opts
         ) as w:
             w.write_table(sub)
-        out_b.append(b)
-        out_n.append(len(sub))
-    return out_b, out_n
+        out[b] = len(sub)
+    return out
+
+
+def _read_spilled(spill_dir: str, bucket: int, kind: str, expected: int) -> "pa.Table | None":
+    """All ``kind`` spill shards of one bucket, or None when the acks
+    recorded none.  Shard-loss guard: if the rows visible here differ from
+    the map-side acks (e.g. spill_root is node-local on a multi-node
+    cluster and this task landed on another node), the build FAILS LOUDLY
+    instead of writing a silently-incomplete index."""
+    import glob as _glob
+
+    import pyarrow.ipc as _ipc
+
+    if not expected:
+        return None
+    files = sorted(
+        _glob.glob(os.path.join(spill_dir, f"bucket={bucket:05d}", f"{kind}-*.arrow"))
+    )
+    if not files:
+        raise RuntimeError(
+            f"{kind} spill shards for bucket {bucket} missing under {spill_dir} "
+            f"(expected {expected} rows) — spill_root must be shared across nodes"
+        )
+    parts = []
+    for f in files:
+        with pa.memory_map(f) as mm:  # zero-copy read off RAM-backed spill
+            parts.append(_ipc.open_file(mm).read_all())
+    tbl = pa.concat_tables(parts).combine_chunks()
+    if len(tbl) != expected:
+        raise RuntimeError(
+            f"bucket {bucket}: read {len(tbl)} spilled {kind} rows but map acks "
+            f"recorded {expected} — shards lost (node-local spill_root on multi-node?)"
+        )
+    return tbl
 
 
 class TokenizeSpill:
@@ -272,9 +306,15 @@ class TokenizeSpill:
     replaces the former separate doc-meta pass + distributed totals
     aggregate + tokenize pass (each a full corpus read).
 
+    With ``cfg.extra["vocab_sidecar"]`` the batch's unigram (term, df)
+    partial is spilled too, routed by stripe (``term_hash % B``, the
+    sidecar's bucket) into the same bucket dirs, so the encode task of
+    bucket b finishes stripe b — no exchange of its own.
+
     Returns one ack row per bucket touched (the encode side cross-checks
-    spilled row counts against these and aborts on shard loss) plus one
-    summary row (bucket = -1) carrying the doc-count/doclen partials."""
+    spilled posting and vocab row counts against these and aborts on
+    shard loss) plus one summary row (bucket = -1) carrying the
+    doc-count/doclen partials."""
 
     def __init__(
         self,
@@ -289,18 +329,14 @@ class TokenizeSpill:
         # stats_dir: fused-statistics sidecar — each batch also writes its
         # df/cf partial shard there (deterministic name, retry-overwrites),
         # so the df table needs NO second corpus read (combine_fused_stats).
-        # May be a LIST of dirs: the same partial table is written to each
-        # (tiny parquet writes) — lets one spill pass feed both a shared
-        # fused-stats dir and the per-segment vocab-sidecar partials.
+        self.vocab = bool(cfg.extra.get("vocab_sidecar"))
         self.tp = TokenizePostings(
             cfg, head_ref, skip_buckets,
-            stats_max_gram=stats_max_gram if stats_dir else None,
+            stats_max_gram=stats_max_gram if stats_dir else (1 if self.vocab else None),
         )
         self.spill_dir = spill_dir
         self.meta_dir = meta_dir
-        self.stats_dirs = (
-            [stats_dir] if isinstance(stats_dir, str) else list(stats_dir or [])
-        )
+        self.stats_dir = stats_dir
         # stored-fields sidecar (build/docstore.py) — staged beside the
         # docmeta tmp dir and published atomically with it
         self.store_dir = (meta_dir + "-docstore") if cfg.store_fields else None
@@ -313,6 +349,21 @@ class TokenizeSpill:
         # None (or "none") restores raw IPC.
         comp = cfg.extra.get("spill_compression", "lz4")
         self.compression = None if comp in (None, "none") else comp
+
+    def _vocab_partial(self, stats_tbl: pa.Table) -> pa.Table:
+        """(bucket, term, df) unigram rows of one batch, bucket = the
+        stripe ``term_hash % B``; stripes already on disk are dropped."""
+        uni = stats_tbl.filter(
+            pa.array(stats_tbl["gram_size"].to_numpy(zero_copy_only=False) == 1)
+        )
+        h = uni["term_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
+        stripe = (h % np.uint64(self.tp.cfg.num_buckets)).astype(np.int32)
+        vt = pa.table(
+            {"bucket": pa.array(stripe), "term": uni["term"], "df": uni["df_part"]}
+        )
+        if self.tp.skip:
+            vt = vt.filter(pa.array(~np.isin(stripe, list(self.tp.skip))))
+        return vt
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -344,12 +395,11 @@ class TokenizeSpill:
         meta = pa.table(meta_cols)
         os.makedirs(self.meta_dir, exist_ok=True)
         _pq.write_table(meta, os.path.join(self.meta_dir, f"part-{batch_tag}.parquet"))
-        if stats_tbl is not None:
-            for sd in self.stats_dirs:
-                os.makedirs(sd, exist_ok=True)
-                _pq.write_table(
-                    stats_tbl, os.path.join(sd, f"part-{batch_tag}.parquet")
-                )
+        if stats_tbl is not None and self.stats_dir:
+            os.makedirs(self.stats_dir, exist_ok=True)
+            _pq.write_table(
+                stats_tbl, os.path.join(self.stats_dir, f"part-{batch_tag}.parquet")
+            )
         if self.store_dir and len(batch):
             # stored-fields sidecar (build/docstore.py): doc_id-sorted so
             # parquet row-group stats give tight ranges for point lookups;
@@ -367,22 +417,27 @@ class TokenizeSpill:
                 # text rows ≈ a few MB — one seek's worth per fetch hit
                 row_group_size=int(self.tp.cfg.extra.get("docstore_row_group", 2048)),
             )
+        rows, vrows = {}, {}
         if len(postings):
-            out_b, out_n = _spill_bucket_shards(
+            rows = _spill_bucket_shards(
                 postings, self.spill_dir, self.compression, shard=batch_tag
             )
-        else:
-            out_b, out_n = [], []
-        out_b.append(-1)
-        out_n.append(0)
-        n_docs = [0] * (len(out_b) - 1) + [len(batch)]
-        sum_dl = [0] * (len(out_b) - 1) + [int(np.sum(body_doclen, dtype=np.int64))]
+        if self.vocab and stats_tbl is not None:
+            vrows = _spill_bucket_shards(
+                self._vocab_partial(stats_tbl), self.spill_dir, self.compression,
+                shard=batch_tag, kind="vocab",
+            )
+        out_b = sorted(set(rows) | set(vrows))
+        pad = [0] * len(out_b)
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int32()),
-                "rows": pa.array(out_n, pa.int64()),
-                "n_docs": pa.array(n_docs, pa.int64()),
-                "sum_doclen": pa.array(sum_dl, pa.int64()),
+                "bucket": pa.array(out_b + [-1], pa.int32()),
+                "rows": pa.array([rows.get(b, 0) for b in out_b] + [0], pa.int64()),
+                "vocab_rows": pa.array([vrows.get(b, 0) for b in out_b] + [0], pa.int64()),
+                "n_docs": pa.array(pad + [len(batch)], pa.int64()),
+                "sum_doclen": pa.array(
+                    pad + [int(np.sum(body_doclen, dtype=np.int64))], pa.int64()
+                ),
             },
             schema=ACK_SCHEMA,
         )
@@ -410,6 +465,20 @@ def _spill_map(batch: pa.Table, *, ctor: tuple) -> pa.Table:
     return ts(batch)
 
 
+def _encode_num_cpus(cfg: EngineConfig) -> float:
+    """CPUs reserved per encode task.  Encode is memory-bandwidth-bound,
+    not compute-bound: at full task-per-core concurrency 32 concurrent
+    varint/PFor packers thrash the shared bus and run ABSOLUTELY slower
+    than 16 (measured 2M-doc A/B: encode 16.2-23.6 s at 32-way vs
+    8.4-18.3 s at 16-way, min-of-2 each).  2 CPUs per task halves the
+    concurrent encode tasks per node; on a real cluster this is per-node
+    bandwidth management, the same knob.  Small sessions (< 16 CPUs —
+    unit tests, laptops) keep 1: the bus isn't contended there, and a
+    2-CPU reservation can deadlock against live actor pools."""
+    cpus = ray.cluster_resources().get("CPU", 0)
+    return float(cfg.extra.get("encode_num_cpus", 2 if cpus >= 16 else 1))
+
+
 def _encode_batch_size(per_bucket: "dict[int, int]", cfg: EngineConfig) -> int:
     """Buckets per encode task: amortize per-task fixed cost without
     starving the encode pool (≥ 2 waves of tasks per slot) or blowing the
@@ -419,8 +488,7 @@ def _encode_batch_size(per_bucket: "dict[int, int]", cfg: EngineConfig) -> int:
     n = len(per_bucket)
     mean_rows = max(1, sum(per_bucket.values()) // n)
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    enc_cpus = float(cfg.extra.get("encode_num_cpus", 2 if cpus >= 16 else 1))
-    slots = max(1, int(cpus // max(1.0, enc_cpus)))
+    slots = max(1, int(cpus // max(1.0, _encode_num_cpus(cfg))))
     by_slots = max(1, n // (2 * slots))
     by_rows = max(1, int(4_000_000 // mean_rows))
     return max(1, min(by_slots, by_rows))
@@ -430,40 +498,31 @@ def encode_spilled_bucket(
     batch: pa.Table, *, spill_dir: str, out_dir: str, avgdl: float, cfg: EngineConfig
 ) -> pa.Table:
     """Reduce-side: read one bucket's spill shards, encode, write the
-    atomic dict file.
-
-    Shard-loss guard: the map-side acks recorded how many posting rows
-    each bucket spilled; if the rows visible here differ (e.g. spill_root
-    is node-local on a multi-node cluster and this task landed on another
-    node), the build FAILS LOUDLY instead of writing a silently-incomplete
-    index.  On multi-node clusters spill_root must be a shared filesystem.
-    """
-    import glob as _glob
-
-    import pyarrow.ipc as _ipc
-
+    atomic dict file.  With the vocab sidecar, first sum the bucket's
+    (term, df) partials into its stripe and write that (a stripe may
+    have vocab rows but no postings: its head terms were salted into
+    other buckets).  Row counts are cross-checked against the map acks
+    (``_read_spilled``); on multi-node clusters spill_root must be a
+    shared filesystem."""
     from bitfunnel_ray.functions.mem import tune_allocator
 
     tune_allocator()
-    expected = batch["expected_rows"].to_pylist()
     rows = []
-    for b, exp in zip(batch["bucket"].to_pylist(), expected):
-        files = sorted(_glob.glob(os.path.join(spill_dir, f"bucket={int(b):05d}", "*.arrow")))
-        if not files:
-            raise RuntimeError(
-                f"spill shards for bucket {b} missing under {spill_dir} "
-                f"(expected {exp} rows) — spill_root must be shared across nodes"
-            )
-        parts = []
-        for f in files:
-            with pa.memory_map(f) as mm:  # zero-copy read off RAM-backed spill
-                parts.append(_ipc.open_file(mm).read_all())
-        tbl = pa.concat_tables(parts).combine_chunks()
-        if len(tbl) != int(exp):
-            raise RuntimeError(
-                f"bucket {b}: read {len(tbl)} spilled rows but map acks recorded "
-                f"{exp} — shards lost (node-local spill_root on multi-node?)"
-            )
+    for b, exp, vexp in zip(
+        batch["bucket"].to_pylist(),
+        batch["expected_rows"].to_pylist(),
+        batch["expected_vocab_rows"].to_pylist(),
+    ):
+        b = int(b)
+        if cfg.extra.get("vocab_sidecar"):
+            vt = _read_spilled(spill_dir, b, "vocab", int(vexp))
+            parts = [] if vt is None else [
+                (vt["term"].to_numpy(zero_copy_only=False), vt["df"].to_numpy())
+            ]
+            segment.write_vocab_part(out_dir, b, parts)
+        tbl = _read_spilled(spill_dir, b, "part", int(exp))
+        if tbl is None:
+            continue
         enc = encode_bucket(
             tbl["term_hash"].to_numpy(zero_copy_only=False),
             tbl["gram_size"].to_numpy(zero_copy_only=False),
@@ -473,55 +532,14 @@ def encode_spilled_bucket(
             tbl["doclen"].to_numpy(zero_copy_only=False),
             avgdl, cfg.k1, cfg.b, cfg.treatment_bands or cfg.block_size,
         )
-        segment.write_bucket_atomic(enc, out_dir, int(b))
-        rows.append(
-            {
-                "bucket": int(b),
-                "n_chunks": len(enc),
-                "n_postings": len(tbl),
-                "payload_bytes": enc.nbytes,
-            }
-        )
+        segment.write_bucket_atomic(enc, out_dir, b)
+        rows.append((b, len(enc), len(tbl), enc.nbytes))
     return pa.table(
         {
-            "bucket": pa.array([r["bucket"] for r in rows], pa.int32()),
-            "n_chunks": pa.array([r["n_chunks"] for r in rows], pa.int64()),
-            "n_postings": pa.array([r["n_postings"] for r in rows], pa.int64()),
-            "payload_bytes": pa.array([r["payload_bytes"] for r in rows], pa.int64()),
-        }
-    )
-
-
-def encode_block(block: pa.Table, *, out_dir: str, avgdl: float, cfg: EngineConfig) -> pa.Table:
-    """Encode stage after the hash-partition exchange: one block holds all
-    postings of one or more complete buckets (repartition(keys=['bucket'])
-    guarantees co-location).  Each bucket becomes one atomic dict file —
-    the resume/checkpoint unit."""
-    buckets = block["bucket"].to_numpy(zero_copy_only=False)
-    h = block["term_hash"].to_numpy(zero_copy_only=False)
-    g = block["gram_size"].to_numpy(zero_copy_only=False)
-    s = block["salt"].to_numpy(zero_copy_only=False)
-    d = block["doc_id"].to_numpy(zero_copy_only=False)
-    tf = block["tf"].to_numpy(zero_copy_only=False)
-    dl = block["doclen"].to_numpy(zero_copy_only=False)
-    out_rows = {"bucket": [], "n_chunks": [], "n_postings": [], "payload_bytes": []}
-    for b in np.unique(buckets):
-        m = buckets == b
-        tbl = encode_bucket(
-            h[m], g[m], s[m], d[m], tf[m], dl[m], avgdl, cfg.k1, cfg.b,
-            cfg.treatment_bands or cfg.block_size,
-        )
-        segment.write_bucket_atomic(tbl, out_dir, int(b))
-        out_rows["bucket"].append(int(b))
-        out_rows["n_chunks"].append(len(tbl))
-        out_rows["n_postings"].append(int(m.sum()))
-        out_rows["payload_bytes"].append(tbl.nbytes)
-    return pa.table(
-        {
-            "bucket": pa.array(out_rows["bucket"], pa.int32()),
-            "n_chunks": pa.array(out_rows["n_chunks"], pa.int64()),
-            "n_postings": pa.array(out_rows["n_postings"], pa.int64()),
-            "payload_bytes": pa.array(out_rows["payload_bytes"], pa.int64()),
+            "bucket": pa.array([r[0] for r in rows], pa.int32()),
+            "n_chunks": pa.array([r[1] for r in rows], pa.int64()),
+            "n_postings": pa.array([r[2] for r in rows], pa.int64()),
+            "payload_bytes": pa.array([r[3] for r in rows], pa.int64()),
         }
     )
 
@@ -581,30 +599,19 @@ def scan_head_terms(
         and cfg.head_df_threshold * rate >= 50
     ):
         sub = sorted(files)[::stride]
-        eff_rate = len(sub) / len(files)
         scan = ray.data.read_parquet(sub)
-        thr = int(cfg.head_df_threshold * eff_rate)
-        heads = (
-            document_frequency_table(scan, cfg, emit_text=False)
-            .map_batches(
-                lambda t, _thr=thr: t.filter(pc.greater(t["df"], _thr)),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
-        )
-        if not len(heads):
+        thr = int(cfg.head_df_threshold * (len(sub) / len(files)))
+    else:
+        if corpus is None:
+            corpus = ray.data.read_parquet(files)
+        if not skip_count and corpus.count() <= cfg.head_df_threshold:
             return np.empty(0, dtype=np.uint64)
-        return heads["term_hash"].to_numpy().astype(np.uint64)
-    if corpus is None:
-        corpus = ray.data.read_parquet(files)
-    if not skip_count and corpus.count() <= cfg.head_df_threshold:
-        return np.empty(0, dtype=np.uint64)
-    scan, thr = corpus, cfg.head_df_threshold
-    if 0.0 < rate < 1.0 and cfg.head_df_threshold * rate >= 50:
-        from bitfunnel_ray.stages.filters import sample_filter
+        scan, thr = corpus, cfg.head_df_threshold
+        if 0.0 < rate < 1.0 and cfg.head_df_threshold * rate >= 50:
+            from bitfunnel_ray.stages.filters import sample_filter
 
-        scan = sample_filter(corpus, rate)
-        thr = int(cfg.head_df_threshold * rate)
+            scan = sample_filter(corpus, rate)
+            thr = int(cfg.head_df_threshold * rate)
     heads = (
         document_frequency_table(scan, cfg, emit_text=False)
         .map_batches(
@@ -633,6 +640,10 @@ def build_index(
     shards (gram sizes ≤ ``extra["stats_max_gram"]``, default 1) from the
     SAME tokenize pass — the StatisticsBuilder fusion; finish with
     ``stats.combine_fused_stats``.
+
+    ``cfg.extra["vocab_sidecar"]``: also write the serving vocabulary,
+    ``vocab/part-{b:05d}.parquet`` = the unigram (term, df, bucket) rows
+    of stripe b, from the same pass (see ``TokenizeSpill``).
 
     ``_defer_encode`` (internal, used by ``build_index_waves``): return
     right after the spill pass with ``{"deferred": True, "finish": fn}``;
@@ -672,51 +683,22 @@ def build_index(
     meta_dir = os.path.join(out_dir, "docmeta")
     meta_done = os.path.join(meta_dir, "_DONE")
     done = frozenset(segment.completed_buckets(out_dir))
-    shuffle_mode = cfg.extra.get("shuffle", "external")
-    # The external path fuses the doc-meta pass + corpus totals INTO the
-    # tokenize/spill pass (one streaming read of the corpus instead of
-    # three); the in-memory-exchange path and the resume-with-all-buckets
-    # path still need docmeta + totals up front.
-    fused = shuffle_mode != "ray" and len(done) < cfg.num_buckets
-    if cfg.store_fields and shuffle_mode == "ray":
-        raise ValueError(
-            "store_fields needs the fused external-shuffle build (the "
-            "docstore sidecar is written by the spill pass); drop "
-            'extra={"shuffle": "ray"} or the store_fields'
-        )
-    if cfg.extra.get("vocab_sidecar") and shuffle_mode == "ray":
-        raise ValueError(
-            "vocab_sidecar needs the fused external-shuffle build (the "
-            "df/cf partials are written by the spill pass); drop "
-            'extra={"shuffle": "ray"} or the vocab_sidecar flag'
-        )
+    vocab = bool(cfg.extra.get("vocab_sidecar"))
+    if vocab:  # the dir exists even when no stripe has rows
+        os.makedirs(os.path.join(out_dir, "vocab"), exist_ok=True)
+    # The spill pass also writes docmeta and the corpus totals (one
+    # streaming read of the corpus).  Only a resumed build that finds
+    # every bucket and docmeta done skips it and reads the totals back.
+    spill = len(done) < cfg.num_buckets or not os.path.exists(meta_done)
     n_docs = sum_dl = None
     avgdl = 1.0
     t1 = t0
-    if not fused:
-        if not os.path.exists(meta_done):
-            tmp_meta = meta_dir + ".tmp"
-            if os.path.exists(tmp_meta):
-                import shutil
-
-                shutil.rmtree(tmp_meta)
-            corpus.map_batches(
-                DocMetaBatch(cfg.max_gram, light=True), batch_format="pyarrow"
-            ).write_parquet(tmp_meta)
-            if os.path.exists(meta_dir):
-                import shutil
-
-                shutil.rmtree(meta_dir)
-            os.replace(tmp_meta, meta_dir)
-            with open(meta_done, "w") as f:
-                f.write("ok")
-        t1 = _mark("docmeta", t0)
-        # corpus-level totals via a DISTRIBUTED aggregate over the doclen
-        # column only — the driver receives two scalars, never the table
-        import ray.data as _rd
+    if not spill:
+        # a DISTRIBUTED aggregate over the doclen column only — the driver
+        # receives two scalars, never the table
         from ray.data.aggregate import Count as _Count, Sum as _Sum
 
-        totals = _rd.read_parquet(
+        totals = ray.data.read_parquet(
             meta_dir, columns=["doclen"], file_extensions=["parquet"]
         ).aggregate(_Count(alias_name="n"), _Sum("doclen", alias_name="s"))
         n_docs = int(totals["n"] or 0)
@@ -763,10 +745,18 @@ def build_index(
 
     t1 = _mark("head_scan", t1)
 
-    # --- postings shuffle + per-bucket encode ---------------------------
+    # --- fused spill + per-bucket encode --------------------------------
+    # One streaming corpus read does tokenize → per-bucket spill shards
+    # (postings, and vocab partials by stripe) + docmeta shards + totals
+    # partials; then one encode task per bucket — no exchange operator,
+    # no aggregator actors.
+    # MULTI-NODE: spill_root must be a shared filesystem (encode tasks may
+    # land on any node); the ack row-count cross-check in
+    # encode_spilled_bucket aborts the build if shards are missing.
     bucket_stats: list[dict] = []
     deferred_encode = None
-    if len(done) < cfg.num_buckets:
+    if spill:
+        import shutil as _shutil
         from functools import partial
 
         stream_cols = [c for (_n, c, _s) in cfg.streams]
@@ -776,272 +766,188 @@ def build_index(
             stream_cols = [c for c in stream_cols if c in _names]
         except Exception:
             pass
-        if shuffle_mode == "ray":
-            # in-memory hash exchange on the explicit bucket key (a
-            # key-based exchange, ~5x faster than sort-based groupby on a
-            # low-cardinality key); partition count = CPUs, each
-            # partition's consumer encodes its (whole) buckets
-            postings = corpus.select_columns(["doc_id", *stream_cols]).map_batches(
-                TokenizePostings(cfg, head_ref, done), batch_format="pyarrow"
+        # spill to RAM-backed storage when available (the node-local
+        # shuffle-SSD analog); fall back to the output filesystem
+        spill_root = cfg.extra.get(
+            "spill_root", "/dev/shm" if os.path.isdir("/dev/shm") else out_dir
+        )
+        spill_dir = os.path.join(spill_root, f".bfr-spill-{uuid.uuid4().hex[:8]}")
+        os.makedirs(spill_dir, exist_ok=True)
+        meta_tmp = meta_dir + ".tmp"
+        _shutil.rmtree(meta_tmp, ignore_errors=True)
+        _shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
+        try:
+            ok = False
+            schema_names = corpus.schema().names
+            sel = (
+                ["doc_id"]
+                + [c for c in ("url", "warc_ts") if c in schema_names]
+                + stream_cols
             )
-            tune_hash_shuffle(postings.context)
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            n_blocks = max(2, min(cfg.num_buckets, cpus))
-            postings.context.default_hash_shuffle_parallelism = n_blocks
-            enc = postings.repartition(num_blocks=n_blocks, keys=["bucket"]).map_batches(
-                partial(encode_block, out_dir=out_dir, avgdl=avgdl, cfg=cfg),
-                batch_size=None,
-                batch_format="pyarrow",
-            )
-            bucket_stats = enc.to_pandas().to_dict("records")
-            t1 = _mark("shuffle_encode", t1)
-        else:
-            # external shuffle, FUSED map: one streaming corpus read does
-            # tokenize → per-bucket spill shards + docmeta shards + totals
-            # partials; then one encode task per bucket — no exchange
-            # operator, no aggregator actors.
-            # MULTI-NODE: spill_root must be a shared filesystem (encode
-            # tasks may land on any node); the ack row-count cross-check in
-            # encode_spilled_bucket aborts the build if shards are missing.
-            import shutil as _shutil
-            import uuid as _uuid
-
-            # spill to RAM-backed storage when available (the node-local
-            # shuffle-SSD analog); fall back to the output filesystem
-            spill_root = cfg.extra.get(
-                "spill_root", "/dev/shm" if os.path.isdir("/dev/shm") else out_dir
-            )
-            spill_dir = os.path.join(spill_root, f".bfr-spill-{_uuid.uuid4().hex[:8]}")
-            os.makedirs(spill_dir, exist_ok=True)
-            meta_tmp = meta_dir + ".tmp"
-            _shutil.rmtree(meta_tmp, ignore_errors=True)
-            _shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
-            stats_dir = cfg.extra.get("fused_stats_dir")
-            # vocab sidecar (cfg.extra["vocab_sidecar"]): the SAME spill
-            # pass also writes per-segment df/cf partials, combined after
-            # the spill into <out>/vocab — the (term, df, bucket) text
-            # stripes the serving fronts load for autocomplete + fuzzy
-            # (build/stats.write_vocab_sidecar).  No second corpus read.
-            vocab_partials = (
-                os.path.join(out_dir, "_vocab_partials")
-                if cfg.extra.get("vocab_sidecar")
-                else None
-            )
-            if vocab_partials:
-                stats_dir = [d for d in (stats_dir, vocab_partials) if d]
-            try:
-                ok = False
-                schema_names = corpus.schema().names
-                sel = (
-                    ["doc_id"]
-                    + [c for c in ("url", "warc_ts") if c in schema_names]
-                    + stream_cols
+            missing_store = [c for c in cfg.store_fields if c not in schema_names]
+            if missing_store:
+                # fail LOUDLY at build time: silently storing nothing
+                # passes every row-count cross-check and only explodes
+                # weeks later at fetch time
+                raise ValueError(
+                    f"store_fields {missing_store} not in the corpus "
+                    f"schema {sorted(schema_names)}"
                 )
-                missing_store = [c for c in cfg.store_fields if c not in schema_names]
-                if missing_store:
-                    # fail LOUDLY at build time: silently storing nothing
-                    # passes every row-count cross-check and only explodes
-                    # weeks later at fetch time
-                    raise ValueError(
-                        f"store_fields {missing_store} not in the corpus "
-                        f"schema {sorted(schema_names)}"
-                    )
-                sel += [c for c in cfg.store_fields if c not in sel]
-                # docs per map task: pins the spill-shard count (and the
-                # per-shard size) independent of input block layout and CPU
-                # count — identical work shape at every parallelism.  The
-                # default SCALES with the bucket count so the per-(task,
-                # bucket) shard stays ~8k postings as auto-bucketing grows
-                # the segment: at 4096 docs/task a 256-bucket build writes
-                # tasks×buckets ≈ 250k tiny (~2k-posting) shards and both
-                # spill and encode go file-metadata-bound (measured 4M-doc
-                # A/B: 16384-doc batches beat 4096 in 4/4 interleaved runs,
-                # best 134k vs 91k docs/s).  Deterministic in cfg, so resume
-                # and both scaling-run CPU levels see identical work.
-                spill_batch = int(
-                    cfg.extra.get(
-                        "spill_batch_docs",
-                        min(65536, max(8192, 4096 * (cfg.num_buckets // 64))),
-                    )
+            sel += [c for c in cfg.store_fields if c not in sel]
+            # docs per map task: pins the spill-shard count (and the
+            # per-shard size) independent of input block layout and CPU
+            # count — identical work shape at every parallelism.  The
+            # default SCALES with the bucket count so the per-(task,
+            # bucket) shard stays ~8k postings as auto-bucketing grows
+            # the segment: at 4096 docs/task a 256-bucket build writes
+            # tasks×buckets ≈ 250k tiny (~2k-posting) shards and both
+            # spill and encode go file-metadata-bound (measured 4M-doc
+            # A/B: 16384-doc batches beat 4096 in 4/4 interleaved runs,
+            # best 134k vs 91k docs/s).  Deterministic in cfg, so resume
+            # and both scaling-run CPU levels see identical work.
+            spill_batch = int(
+                cfg.extra.get(
+                    "spill_batch_docs",
+                    min(65536, max(8192, 4096 * (cfg.num_buckets // 64))),
                 )
-                # task args must stay tiny: the head set travels as an
-                # ObjectRef (head_ref), never inline in cfg.extra
-                cfg_task = cfg
-                if "head_hashes" in cfg.extra:
-                    import dataclasses as _dc
+            )
+            # task args must stay tiny: the head set travels as an
+            # ObjectRef (head_ref), never inline in cfg.extra
+            cfg_task = cfg
+            if "head_hashes" in cfg.extra:
+                import dataclasses as _dc
 
-                    cfg_task = _dc.replace(
-                        cfg,
-                        extra={k: v for k, v in cfg.extra.items() if k != "head_hashes"},
-                    )
-                # task-based map (plain function + worker memo), NOT an
-                # actor pool: actor startup is ~2s per Dataset execution
-                # and build_index_waves runs one spill Dataset per wave
-                acks = corpus.select_columns(sel).map_batches(
-                    partial(
-                        _spill_map,
-                        ctor=(
-                            cfg_task, head_ref, done, spill_dir, meta_tmp,
-                            stats_dir, int(cfg.extra.get("stats_max_gram", 1)),
-                        ),
+                cfg_task = _dc.replace(
+                    cfg,
+                    extra={k: v for k, v in cfg.extra.items() if k != "head_hashes"},
+                )
+            # task-based map (plain function + worker memo), NOT an
+            # actor pool: actor startup is ~2s per Dataset execution
+            # and build_index_waves runs one spill Dataset per wave
+            acks = corpus.select_columns(sel).map_batches(
+                partial(
+                    _spill_map,
+                    ctor=(
+                        cfg_task, head_ref, done, spill_dir, meta_tmp,
+                        cfg.extra.get("fused_stats_dir"),
+                        int(cfg.extra.get("stats_max_gram", 1)),
                     ),
-                    batch_size=spill_batch,
-                    batch_format="pyarrow",
-                ).to_pandas()
-                t1 = _mark("tokenize_spill", t1)
-                summary = acks[acks.bucket < 0]
-                n_docs = int(summary.n_docs.sum())
-                sum_dl = int(summary.sum_doclen.sum())
-                avgdl = (sum_dl / n_docs) if n_docs else 1.0
-                # publish the docmeta sidecar before encode so a crash
-                # mid-encode leaves docmeta complete for the resume run.
-                # Cross-check first: parquet-metadata row count must equal
-                # the ack-derived n_docs (same guard the spill shards get) —
-                # catches any residual duplicate/lost docmeta shard.
-                meta_rows = sum(
-                    pq.ParquetFile(os.path.join(meta_tmp, f)).metadata.num_rows
-                    for f in os.listdir(meta_tmp)
+                ),
+                batch_size=spill_batch,
+                batch_format="pyarrow",
+            ).to_pandas()
+            t1 = _mark("tokenize_spill", t1)
+            summary = acks[acks.bucket < 0]
+            n_docs = int(summary.n_docs.sum())
+            sum_dl = int(summary.sum_doclen.sum())
+            avgdl = (sum_dl / n_docs) if n_docs else 1.0
+            # publish the docmeta sidecar before encode so a crash
+            # mid-encode leaves docmeta complete for the resume run.
+            # Cross-check first: parquet-metadata row count must equal
+            # the ack-derived n_docs (same guard the spill shards get) —
+            # catches any residual duplicate/lost docmeta shard.
+            meta_rows = sum(
+                pq.ParquetFile(os.path.join(meta_tmp, f)).metadata.num_rows
+                for f in os.listdir(meta_tmp)
+                if f.endswith(".parquet")
+            )
+            if meta_rows != n_docs:
+                raise RuntimeError(
+                    f"docmeta rows ({meta_rows}) != ack n_docs ({n_docs}) — "
+                    "duplicate or lost docmeta shard; refusing to publish"
+                )
+            _shutil.rmtree(meta_dir, ignore_errors=True)
+            os.replace(meta_tmp, meta_dir)
+            store_tmp = meta_tmp + "-docstore"
+            if cfg.store_fields and os.path.isdir(store_tmp):
+                # same exactly-once cross-check as docmeta
+                store_rows = sum(
+                    pq.ParquetFile(os.path.join(store_tmp, f)).metadata.num_rows
+                    for f in os.listdir(store_tmp)
                     if f.endswith(".parquet")
                 )
-                if meta_rows != n_docs:
+                if store_rows != n_docs:
                     raise RuntimeError(
-                        f"docmeta rows ({meta_rows}) != ack n_docs ({n_docs}) — "
-                        "duplicate or lost docmeta shard; refusing to publish"
+                        f"docstore rows ({store_rows}) != ack n_docs ({n_docs}) — "
+                        "duplicate or lost docstore shard; refusing to publish"
                     )
-                _shutil.rmtree(meta_dir, ignore_errors=True)
-                os.replace(meta_tmp, meta_dir)
-                store_tmp = meta_tmp + "-docstore"
-                if cfg.store_fields and os.path.isdir(store_tmp):
-                    # same exactly-once cross-check as docmeta
-                    store_rows = sum(
-                        pq.ParquetFile(os.path.join(store_tmp, f)).metadata.num_rows
-                        for f in os.listdir(store_tmp)
-                        if f.endswith(".parquet")
-                    )
-                    if store_rows != n_docs:
-                        raise RuntimeError(
-                            f"docstore rows ({store_rows}) != ack n_docs ({n_docs}) — "
-                            "duplicate or lost docstore shard; refusing to publish"
-                        )
-                    store_dir = os.path.join(out_dir, "docstore")
-                    _shutil.rmtree(store_dir, ignore_errors=True)
-                    os.replace(store_tmp, store_dir)
-                with open(meta_done, "w") as f:
-                    f.write("ok")
-                if vocab_partials and os.path.isdir(vocab_partials):
-                    from bitfunnel_ray.build.stats import (
-                        combine_fused_stats,
-                        write_vocab_sidecar,
-                    )
+                store_dir = os.path.join(out_dir, "docstore")
+                _shutil.rmtree(store_dir, ignore_errors=True)
+                os.replace(store_tmp, store_dir)
+            with open(meta_done, "w") as f:
+                f.write("ok")
+            # per-bucket expected posting and vocab row counts: the encode
+            # side cross-checks rows actually read vs these acks and fails
+            # loudly on loss
+            per_bucket = (
+                acks[acks.bucket >= 0]
+                .groupby("bucket")[["rows", "vocab_rows"]]
+                .sum()
+                .astype(int)
+            )
+            enc_cpus = _encode_num_cpus(cfg)
 
-                    write_vocab_sidecar(
-                        out_dir,
-                        combine_fused_stats(vocab_partials, emit_text=True),
-                        eff_buckets,
+            def _encode_phase(
+                per_bucket=per_bucket, spill_dir=spill_dir, avgdl=avgdl
+            ) -> "list[dict]":
+                te = time.time()
+                try:
+                    enc = ray.data.from_items(
+                        [
+                            {
+                                "bucket": int(b),
+                                "expected_rows": int(r["rows"]),
+                                "expected_vocab_rows": int(r["vocab_rows"]),
+                            }
+                            for b, r in per_bucket.iterrows()
+                        ]
+                    ).map_batches(
+                        partial(
+                            encode_spilled_bucket,
+                            spill_dir=spill_dir,
+                            out_dir=out_dir,
+                            avgdl=avgdl,
+                            cfg=cfg_task,
+                        ),
+                        # several small buckets per task: the per-task
+                        # fixed cost (launch, glob, parquet write)
+                        # dominates once auto-bucketing or wave splits
+                        # shrink buckets below ~1M postings; the sort
+                        # working set stays per-bucket either way.
+                        # Keep ≥ 2 tasks per encode slot so the stage
+                        # still fills the pool, and ≤ ~4M rows per task.
+                        batch_size=_encode_batch_size(per_bucket["rows"].to_dict(), cfg),
+                        batch_format="pyarrow",
+                        # In deferred (overlap) mode the encode runs
+                        # CONCURRENTLY with the next wave's spill: cap
+                        # concurrent encode tasks to half the cluster
+                        # so the bandwidth-floored encode never starves
+                        # the compute-bound spill of CPUs (uncapped, 16
+                        # tasks x 2 cpus reserve the whole 32-cpu box
+                        # and the "overlap" degenerates to alternation)
+                        concurrency=(
+                            max(1, int(ray.cluster_resources().get("CPU", 8) // (2 * enc_cpus)))
+                            if _defer_encode
+                            else None
+                        ),
+                        num_cpus=enc_cpus,
                     )
-                    _shutil.rmtree(vocab_partials, ignore_errors=True)
-                    t1 = _mark("vocab_sidecar", t1)
-                # per-bucket expected row counts: the encode side cross-checks
-                # rows actually read vs these acks and fails loudly on loss
-                bucket_acks = acks[acks.bucket >= 0]
-                per_bucket = (
-                    bucket_acks.groupby("bucket")["rows"].sum().astype(int).to_dict()
-                    if len(bucket_acks)
-                    else {}
-                )
-                def _encode_phase(
-                    per_bucket=per_bucket, spill_dir=spill_dir, avgdl=avgdl
-                ) -> "list[dict]":
-                    import ray.data as rd
-
-                    te = time.time()
-                    try:
-                        enc = rd.from_items(
-                            [
-                                {"bucket": int(b), "expected_rows": int(n)}
-                                for b, n in sorted(per_bucket.items())
-                            ]
-                        ).map_batches(
-                            partial(
-                                encode_spilled_bucket,
-                                spill_dir=spill_dir,
-                                out_dir=out_dir,
-                                avgdl=avgdl,
-                                cfg=cfg_task,
-                            ),
-                            # several small buckets per task: the per-task
-                            # fixed cost (launch, glob, parquet write)
-                            # dominates once auto-bucketing or wave splits
-                            # shrink buckets below ~1M postings; the sort
-                            # working set stays per-bucket either way.
-                            # Keep ≥ 2 tasks per encode slot so the stage
-                            # still fills the pool, and ≤ ~4M rows per task.
-                            batch_size=_encode_batch_size(per_bucket, cfg),
-                            batch_format="pyarrow",
-                            # In deferred (overlap) mode the encode runs
-                            # CONCURRENTLY with the next wave's spill: cap
-                            # concurrent encode tasks to half the cluster
-                            # so the bandwidth-floored encode never starves
-                            # the compute-bound spill of CPUs (uncapped, 16
-                            # tasks x 2 cpus reserve the whole 32-cpu box
-                            # and the "overlap" degenerates to alternation)
-                            concurrency=(
-                                max(
-                                    1,
-                                    int(
-                                        ray.cluster_resources().get("CPU", 8)
-                                        // (
-                                            2
-                                            * float(
-                                                cfg.extra.get(
-                                                    "encode_num_cpus",
-                                                    2
-                                                    if ray.cluster_resources().get("CPU", 0) >= 16
-                                                    else 1,
-                                                )
-                                            )
-                                        )
-                                    ),
-                                )
-                                if _defer_encode
-                                else None
-                            ),
-                            # encode is memory-bandwidth-bound, not compute-bound:
-                            # at full task-per-core concurrency 32 concurrent
-                            # varint/PFor packers thrash the shared bus and run
-                            # ABSOLUTELY slower than 16 (measured 2M-doc A/B on
-                            # this box: encode 16.2-23.6 s at 32-way vs 8.4-18.3 s
-                            # at 16-way, min-of-2 each).  num_cpus=2 halves the
-                            # concurrent encode tasks per node; on a real cluster
-                            # this is per-node bandwidth management, the same knob.
-                            # Small sessions (< 16 CPUs — unit tests, laptops)
-                            # keep 1: the bus isn't contended there, and a 2-CPU
-                            # reservation can deadlock against live actor pools.
-                            num_cpus=float(
-                                cfg.extra.get(
-                                    "encode_num_cpus",
-                                    2
-                                    if ray.cluster_resources().get("CPU", 0) >= 16
-                                    else 1,
-                                )
-                            ),
-                        )
-                        out = enc.to_pandas().to_dict("records")
-                        _mark("encode", te)
-                        return out
-                    finally:
-                        _shutil.rmtree(spill_dir, ignore_errors=True)
-
-                ok = True
-                if _defer_encode:
-                    deferred_encode = _encode_phase
-                else:
-                    bucket_stats = _encode_phase()
-            finally:
-                if not ok:
+                    out = enc.to_pandas().to_dict("records")
+                    _mark("encode", te)
+                    return out
+                finally:
                     _shutil.rmtree(spill_dir, ignore_errors=True)
-                _shutil.rmtree(meta_tmp, ignore_errors=True)
-                _shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
+
+            ok = True
+            if _defer_encode:
+                deferred_encode = _encode_phase
+            else:
+                bucket_stats = _encode_phase()
+        finally:
+            if not ok:
+                _shutil.rmtree(spill_dir, ignore_errors=True)
+            _shutil.rmtree(meta_tmp, ignore_errors=True)
+            _shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
 
     def _finalize(bucket_stats: "list[dict]") -> dict:
         manifest = {
@@ -1064,7 +970,7 @@ def build_index(
                 "store_fields": list(cfg.store_fields),
                 # recorded so fsck can flag a LOST vocab sidecar (a dir
                 # check alone passes clean when the whole dir is gone)
-                "vocab_sidecar": bool(cfg.extra.get("vocab_sidecar")),
+                "vocab_sidecar": vocab,
             },
             "n_head_terms": n_head_terms,
             "input_files": input_files[:4096],

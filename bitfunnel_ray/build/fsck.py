@@ -14,9 +14,12 @@ per dict row (posting chunk):
     an understated upper bound silently drops qualifying docs);
   - bucket routing: ``assign_buckets(term_hash, salt, B)`` equals the
     bucket file the row lives in;
-per segment:
-  - manifest ``n_docs``/``sum_doclen`` equal the docmeta parquet sums;
-  - docmeta doc_ids unique.
+per segment (one summary row, bucket = -1):
+  - manifest ``n_docs``/``sum_doclen`` equal the docmeta parquet sums
+    (``cf_mismatches``);
+  - docmeta doc_ids unique (``docid_errors``);
+  - docstore rows match docmeta, parts doc_id-sorted (``docstore_errors``);
+  - vocab sidecar stripes well-formed and complete (``vocab_errors``).
 
 Layout: one Ray task per bucket file (the build's own checkpoint
 granularity — resumable audits come free), map over a tiny
@@ -46,6 +49,9 @@ RESULT_SCHEMA = pa.schema(
         ("tf_zero_chunks", pa.int64()),
         ("block_meta_errors", pa.int64()),
         ("misrouted_terms", pa.int64()),
+        ("vocab_errors", pa.int64()),
+        ("docstore_errors", pa.int64()),
+        ("docid_errors", pa.int64()),
         ("ok", pa.bool_()),
     ]
 )
@@ -138,14 +144,65 @@ def audit_bucket(seg_dir: str, bucket_file: str) -> dict:
         "tf_zero_chunks": tf0,
         "block_meta_errors": blk_bad,
         "misrouted_terms": misrouted,
+        "vocab_errors": 0,
+        "docstore_errors": 0,
+        "docid_errors": 0,
         "ok": (dec_err + unsorted + cf_bad + tf0 + blk_bad + misrouted) == 0,
     }
 
 
+def audit_vocab(seg_dir: str, man: dict) -> int:
+    """Vocab sidecar audit (0 = healthy): a sidecar the manifest records
+    must exist; every dict bucket b has its stripe ``part-b``; a stripe
+    file holds only its own bucket's rows; parts are readable with the
+    (term, df, bucket) schema; every bucket = term_hash % num_buckets;
+    df ≥ 1; terms unique within the segment — the serving stripes
+    (suggest/fuzzy/correct) are silently incomplete or mis-sharded on
+    any of these."""
+    from bitfunnel_ray.build.segment import _BUCKET_RE, _VOCAB_RE, vocab_part_path
+    from bitfunnel_ray.functions.hashing import hash_terms
+
+    vdir = os.path.join(seg_dir, "vocab")
+    if not os.path.isdir(vdir):
+        # a LOST sidecar: the dir check alone would pass clean
+        return int(bool(man.get("config", {}).get("vocab_sidecar")))
+    bad = 0
+    for p in glob.glob(os.path.join(seg_dir, "dict-*.parquet")):
+        if not os.path.exists(vocab_part_path(seg_dir, int(_BUCKET_RE.search(p).group(1)))):
+            bad += 1  # stripe lost
+    nb = int(man["config"]["num_buckets"])
+    vterms, vdfs, vbuckets = [], [], []
+    for p in sorted(glob.glob(os.path.join(vdir, "*.parquet"))):
+        try:
+            vt = pq.read_table(p, columns=["term", "df", "bucket"])
+        except Exception:
+            bad += 1
+            continue
+        b = vt["bucket"].to_numpy(zero_copy_only=False)
+        m = _VOCAB_RE.search(p)
+        if m and (b != int(m.group(1))).any():
+            bad += 1  # another stripe's rows in this part
+        vterms.append(np.asarray(vt["term"].to_pylist(), dtype=object))
+        vdfs.append(vt["df"].to_numpy(zero_copy_only=False))
+        vbuckets.append(b)
+    if vterms:
+        terms_all = np.concatenate(vterms)
+        if len(np.unique(terms_all.astype(str))) != len(terms_all):
+            bad += 1
+        if (np.concatenate(vdfs) < 1).any():
+            bad += 1
+        # memoize=False: the audit hashes each vocab term exactly once
+        # — the process-global memo would pin the whole vocabulary in
+        # this worker for zero hit-rate benefit
+        want = (hash_terms(terms_all, memoize=False) % np.uint64(nb)).astype(np.int64)
+        if not np.array_equal(want, np.concatenate(vbuckets).astype(np.int64)):
+            bad += 1
+    return bad
+
+
 def audit_docmeta(seg_dir: str) -> dict:
     """Manifest ↔ docmeta (+ docstore + vocab sidecar when present)
-    cross-check; one summary row (bucket = -1; vocab issues surface in
-    its ``decode_errors`` column)."""
+    cross-check; one summary row (bucket = -1)."""
     with open(os.path.join(seg_dir, "manifest.json")) as f:
         man = json.load(f)
     files = sorted(glob.glob(os.path.join(seg_dir, "docmeta", "*.parquet")))
@@ -175,64 +232,23 @@ def audit_docmeta(seg_dir: str) -> dict:
                 store_bad += 1
         if store_rows != n_docs:  # lost/duplicated part, or sidecar gone
             store_bad += 1
-    # vocab sidecar, when present: parts readable with the (term, df,
-    # bucket) schema, every bucket = term_hash % num_buckets and in
-    # range, df ≥ 1, terms unique within the segment — the serving
-    # stripes (suggest/fuzzy/correct) silently mis-shard on any of these
-    vocab_bad = 0
-    vdir = os.path.join(seg_dir, "vocab")
-    wants_vocab = bool(man.get("config", {}).get("vocab_sidecar"))
-    if wants_vocab and not os.path.isdir(vdir):
-        vocab_bad += 1  # sidecar LOST — the dir check alone passed clean
-    if os.path.isdir(vdir):
-        from bitfunnel_ray.functions.hashing import hash_terms
-
-        nb = int(man["config"]["num_buckets"])
-        vterms, vdfs, vbuckets = [], [], []
-        for p in sorted(glob.glob(os.path.join(vdir, "*.parquet"))):
-            try:
-                vt = pq.read_table(p, columns=["term", "df", "bucket"])
-            except Exception:
-                vocab_bad += 1
-                continue
-            vterms.append(np.asarray(vt["term"].to_pylist(), dtype=object))
-            vdfs.append(vt["df"].to_numpy(zero_copy_only=False))
-            vbuckets.append(vt["bucket"].to_numpy(zero_copy_only=False))
-        if vterms:
-            terms_all = np.concatenate(vterms)
-            dfs_all = np.concatenate(vdfs)
-            buckets_all = np.concatenate(vbuckets)
-            if len(np.unique(terms_all.astype(str))) != len(terms_all):
-                vocab_bad += 1
-            if (dfs_all < 1).any():
-                vocab_bad += 1
-            # memoize=False: the audit hashes each vocab term exactly once
-            # — the process-global memo would pin the whole vocabulary in
-            # this worker for zero hit-rate benefit
-            want = (hash_terms(terms_all, memoize=False) % np.uint64(nb)).astype(
-                np.int64
-            )
-            if not np.array_equal(want, buckets_all.astype(np.int64)):
-                vocab_bad += 1
-    bad = (
-        (n_docs != int(man["n_docs"]))
-        + (sum_dl != int(man["sum_doclen"]))
-        + (uniq != n_docs)
-        + store_bad
-        + vocab_bad
-    )
+    vocab_bad = audit_vocab(seg_dir, man)
+    totals_bad = int(n_docs != int(man["n_docs"])) + int(sum_dl != int(man["sum_doclen"]))
     return {
         "segment": seg_dir,
         "bucket": -1,
         "n_terms": 0,
         "n_postings": 0,
-        "decode_errors": int(vocab_bad),
+        "decode_errors": 0,
         "unsorted_chunks": 0,
-        "cf_mismatches": int(n_docs != int(man["n_docs"])) + int(sum_dl != int(man["sum_doclen"])),
+        "cf_mismatches": totals_bad,
         "tf_zero_chunks": 0,
-        "block_meta_errors": int(store_bad),
-        "misrouted_terms": int(uniq != n_docs),
-        "ok": bad == 0,
+        "block_meta_errors": 0,
+        "misrouted_terms": 0,
+        "vocab_errors": vocab_bad,
+        "docstore_errors": store_bad,
+        "docid_errors": int(uniq != n_docs),
+        "ok": totals_bad + store_bad + vocab_bad + (uniq != n_docs) == 0,
     }
 
 

@@ -15,6 +15,10 @@ corpus would produce (pytest asserts table equality).
 Salted head-term chunks stay in their original buckets (salt participates
 in routing); the merged ``heads.parquet`` is the union, so query-time
 scatter still finds every chunk.
+
+The vocab sidecar is striped the same way (stripe b = the unigrams with
+``term_hash % B == b``), so the task of bucket b also sums stripe b of
+every source into the merged stripe b — no exchange, no re-hashing.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ def _merge_bucket_batch(
     out_dir: str,
     avgdl: float,
     cfg: EngineConfig,
+    vocab: bool = False,
     dead_ref=None,
 ) -> pa.Table:
     import ray
@@ -121,11 +126,29 @@ def _merge_bucket_batch(
     )  # sorted uint64
     rows = []
     for b in batch["bucket"].to_pylist():
+        b = int(b)
         parts = []
         for d in seg_dirs:
-            p = seglib.bucket_path(d, int(b))
+            p = seglib.bucket_path(d, b)
             if os.path.exists(p):
                 parts.append(decode_bucket_table(pq.read_table(p)))
+        if vocab:
+            # one filter reads stripe b in either layout: one part per
+            # stripe, or one sidecar file of mixed stripes.  Tombstoned
+            # docs' df is not subtracted (df is not per-doc decomposable
+            # from the sidecar) — the same freshness class as posting-level
+            # df before compaction; a fresh build resets it.
+            vts = [
+                pq.read_table(
+                    os.path.join(d, "vocab"), schema=seglib.VOCAB_SCHEMA,
+                    columns=["term", "df"], filters=[("bucket", "=", b)],
+                )
+                for d in seg_dirs
+            ]
+            if parts or any(len(t) for t in vts):
+                seglib.write_vocab_part(out_dir, b, [
+                    (t["term"].to_numpy(zero_copy_only=False), t["df"].to_numpy()) for t in vts
+                ])
         if not parts:
             continue
         h = np.concatenate([p[0] for p in parts])
@@ -143,10 +166,10 @@ def _merge_bucket_batch(
             h, g, s, doc, tf, dl, avgdl, cfg.k1, cfg.b,
             cfg.treatment_bands or cfg.block_size,
         )
-        seglib.write_bucket_atomic(enc, out_dir, int(b))
+        seglib.write_bucket_atomic(enc, out_dir, b)
         rows.append(
             {
-                "bucket": int(b),
+                "bucket": b,
                 "n_chunks": len(enc),
                 "n_postings": int(len(doc)),
                 "payload_bytes": enc.nbytes,
@@ -359,63 +382,12 @@ def merge_segments(
             os.path.join(out_dir, "heads.parquet"),
         )
 
-    # --- vocab sidecar merge (all-or-nothing, like docstore) -------------
-    # Distributed group-sum of (term, df) across the sources, re-striped
-    # to the MERGED config's bucket space — so a compacted index keeps
-    # suggest/fuzzy/correct working (without this, a --vocab user's
-    # compaction produced a sidecar-less segment and the serving fronts'
-    # mixed-state guard made the whole index refuse vocabulary queries).
-    # Tombstoned docs' df contributions are NOT subtracted (df is not
-    # per-doc decomposable from the sidecar alone) — the same freshness
-    # class as posting-level df before compaction; a fresh build resets.
-    vocab_srcs = [os.path.join(d, "vocab") for d in seg_dirs]
-    vocab_dir = os.path.join(out_dir, "vocab")
-    if all(os.path.isdir(v) for v in vocab_srcs) and not os.path.isdir(vocab_dir):
-        from bitfunnel_ray.build.builder import tune_hash_shuffle
-        from bitfunnel_ray.functions.hashing import hash_terms
-
-        def vocab_combine(t: pa.Table) -> pa.Table:
-            if len(t) == 0 or "term" not in t.column_names:
-                return pa.table(
-                    {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-                )
-            out = t.select(["term", "df"]).group_by("term").aggregate([("df", "sum")])
-            return pa.table(
-                {"term": out["term"], "df": out["df_sum"].cast(pa.int64())}
-            )
-
-        def restripe(t: pa.Table) -> pa.Table:
-            if len(t) == 0 or "term" not in t.column_names:
-                return pa.table(
-                    {
-                        "term": pa.array([], pa.string()),
-                        "df": pa.array([], pa.int64()),
-                        "bucket": pa.array([], pa.int32()),
-                    }
-                )
-            h = hash_terms(np.asarray(t["term"].to_pylist(), dtype=object), memoize=False)
-            return pa.table(
-                {
-                    "term": t["term"],
-                    "df": t["df"],
-                    "bucket": pa.array(
-                        (h % np.uint64(cfg.num_buckets)).astype(np.int32), pa.int32()
-                    ),
-                }
-            )
-
-        vds = ray.data.read_parquet(vocab_srcs, file_extensions=["parquet"])
-        n_vb = tune_hash_shuffle(vds.context)
-        merged_vocab = (
-            vds.map_batches(vocab_combine, batch_format="pyarrow")
-            .repartition(num_blocks=n_vb, keys=["term"])
-            .map_batches(vocab_combine, batch_size=None, batch_format="pyarrow")
-            .map_batches(restripe, batch_format="pyarrow")
-        )
-        vocab_tmp = vocab_dir + ".tmp"
-        shutil.rmtree(vocab_tmp, ignore_errors=True)
-        merged_vocab.write_parquet(vocab_tmp)
-        os.replace(vocab_tmp, vocab_dir)
+    # --- vocab sidecar: merged stripe by stripe in the bucket tasks below,
+    # all-or-nothing like the docstore (a compacted index of --vocab
+    # segments keeps suggest/fuzzy/correct working) ----------------------
+    vocab = all(os.path.isdir(os.path.join(d, "vocab")) for d in seg_dirs)
+    if vocab:
+        os.makedirs(os.path.join(out_dir, "vocab"), exist_ok=True)
 
     # --- bucket-aligned merge (one task per missing bucket, no shuffle) --
     done = seglib.completed_buckets(out_dir)
@@ -429,6 +401,7 @@ def merge_segments(
                 out_dir=out_dir,
                 avgdl=avgdl,
                 cfg=cfg,
+                vocab=vocab,
                 dead_ref=dead_ref,
             ),
             batch_size=1,
@@ -456,7 +429,7 @@ def merge_segments(
             "store_fields": list(cfg.store_fields),
             # merged segment carries a vocab sidecar iff every source did
             # (the all-or-nothing merge above) — recorded for fsck
-            "vocab_sidecar": os.path.isdir(vocab_dir),
+            "vocab_sidecar": vocab,
         },
         "n_head_terms": n_head_terms,
         "merged_from": [os.path.abspath(d) for d in seg_dirs],

@@ -10,6 +10,7 @@ serialization, restored by REPL -restore, tools/BitFunnel/src/REPL.cpp:87-202)
       manifest.json          # n_docs, sum_doclen, config, per-bucket stats
       dict-00042.parquet     # one file per shuffle bucket (atomic rename)
       docmeta/*.parquet      # doc_id, url, doclen, n_postings, n_bytes
+      vocab/part-00042.parquet  # optional: bucket 42's (term, df, bucket) stripe
 
 Bucket files are the checkpoint granularity: each is written to a temp
 name and atomically renamed, so a killed build resumes by skipping
@@ -26,24 +27,55 @@ import os
 import re
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 MANIFEST = "manifest.json"
+VOCAB_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()), ("bucket", pa.int32())])
 _BUCKET_RE = re.compile(r"dict-(\d{5})\.parquet$")
+_VOCAB_RE = re.compile(r"part-(\d{5})\.parquet$")
 
 
 def bucket_path(seg_dir: str, bucket: int) -> str:
     return os.path.join(seg_dir, f"dict-{bucket:05d}.parquet")
 
 
-def write_bucket_atomic(table: pa.Table, seg_dir: str, bucket: int) -> str:
-    path = bucket_path(seg_dir, bucket)
-    tmp = f"{path}.tmp-{uuid.uuid4().hex}"
-    # snappy: varint payloads are already compact; zstd costs ~4x encode CPU
-    pq.write_table(table, tmp, compression="snappy")
+def _write_atomic(table: pa.Table, path: str, **kw) -> str:
+    """Write under a ``.``-prefixed temp name, then rename: a reader of
+    the directory (``pq.read_table(dir)`` skips dot files) never sees a
+    half-written part."""
+    d, name = os.path.split(path)
+    tmp = os.path.join(d, f".{name}.tmp-{uuid.uuid4().hex}")
+    pq.write_table(table, tmp, **kw)
     os.replace(tmp, path)
     return path
+
+
+def write_bucket_atomic(table: pa.Table, seg_dir: str, bucket: int) -> str:
+    # snappy: varint payloads are already compact; zstd costs ~4x encode CPU
+    return _write_atomic(table, bucket_path(seg_dir, bucket), compression="snappy")
+
+
+def vocab_part_path(seg_dir: str, bucket: int) -> str:
+    return os.path.join(seg_dir, "vocab", f"part-{bucket:05d}.parquet")
+
+
+def write_vocab_part(seg_dir: str, bucket: int, parts) -> str:
+    """Stripe ``bucket`` of the vocab sidecar: the (term, df, bucket) rows
+    of the unigrams with ``murmur64a(term) % num_buckets == bucket``,
+    term-sorted, df summed over the (terms, dfs) ``parts``.  The build's
+    encode task and the merge task both call this BEFORE writing
+    ``dict-{bucket}``, so a resumed run that finds the dict file also
+    finds its stripe."""
+    from bitfunnel_ray.ops.suggest import sum_by_term
+
+    terms, dfs = sum_by_term(parts)
+    table = pa.table(
+        [terms, dfs, np.full(len(terms), bucket, np.int32)], schema=VOCAB_SCHEMA
+    )
+    os.makedirs(os.path.join(seg_dir, "vocab"), exist_ok=True)
+    return _write_atomic(table, vocab_part_path(seg_dir, bucket))
 
 
 def completed_buckets(seg_dir: str) -> set[int]:

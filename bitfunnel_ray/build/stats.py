@@ -392,49 +392,6 @@ def write_term_to_text(
     ).write_parquet(out_path)
 
 
-def write_vocab_sidecar(seg_dir: str, dft, num_buckets: int) -> None:
-    """Per-segment serving vocabulary: ``<seg_dir>/vocab/`` parquet of
-    unigram (term, df, bucket) rows, bucket = term_hash % num_buckets —
-    the text stripe the TERM-SHARDED serving front needs for
-    autocomplete and fuzzy expansion (dictionaries store hashes only;
-    ``IndexShardActor`` loads rows with ``bucket % n_shards == shard_id``,
-    its 1/S of the vocabulary, aligned with the dict buckets it serves).
-    ``dft`` is a df-table Dataset (``combine_fused_stats`` /
-    ``document_frequency_table`` schema).  Published atomically via a tmp
-    dir so a crashed build never leaves a half vocabulary."""
-    import os
-    import shutil
-    import uuid
-
-    def stripe(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "term_hash" not in t.column_names:
-            return pa.table(
-                {
-                    "term": pa.array([], pa.string()),
-                    "df": pa.array([], pa.int64()),
-                    "bucket": pa.array([], pa.int32()),
-                }
-            )
-        keep = t["gram_size"].to_numpy(zero_copy_only=False) == 1
-        sub = t.filter(pa.array(keep))
-        h = sub["term_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        bucket = (h % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table(
-            {
-                "term": sub["term"],
-                "df": sub["df"].cast(pa.int64()),
-                "bucket": pa.array(bucket, pa.int32()),
-            }
-        )
-
-    tmp = os.path.join(seg_dir, f"vocab.tmp-{uuid.uuid4().hex[:8]}")
-    shutil.rmtree(tmp, ignore_errors=True)
-    dft.map_batches(stripe, batch_format="pyarrow").write_parquet(tmp)
-    final = os.path.join(seg_dir, "vocab")
-    shutil.rmtree(final, ignore_errors=True)
-    os.replace(tmp, final)
-
-
 class TermToText:
     """Loader for the sidecar: vectorized hash → text lookup via sorted
     arrays (no python dict — vocabulary can be 10^8+ rows)."""

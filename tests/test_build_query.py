@@ -193,12 +193,15 @@ def test_multi_segment_merge(tmp_path):
         assert ta["score"].to_pylist() == tb["score"].to_pylist(), q
 
 
-def test_resume_after_partial_build(tmp_path):
+@pytest.mark.parametrize("vocab", [False, True])
+def test_resume_after_partial_build(tmp_path, vocab):
     """Kill-and-rerun: delete the manifest + some bucket files, rebuild,
-    results identical (per-partition checkpoint, SURVEY.md §4)."""
+    results identical (per-partition checkpoint, SURVEY.md §4).  With
+    the vocab sidecar the killed buckets' stripes go too, and the rerun
+    restores the full build's vocabulary."""
     import os
 
-    cfg = EngineConfig(max_gram=2, num_buckets=6)
+    cfg = EngineConfig(max_gram=2, num_buckets=6, extra={"vocab_sidecar": vocab})
     full = str(tmp_path / "full")
     corpus = corpus_from_documents("/root/testdata/sf0.001")
     build_index(corpus, full, cfg)
@@ -214,12 +217,19 @@ def test_resume_after_partial_build(tmp_path):
         if os.path.exists(p):
             os.remove(p)
             removed += 1
+        if vocab:
+            os.remove(os.path.join(partial, "vocab", f"part-{b:05d}.parquet"))
     assert removed == 2
     m = build_index(corpus_from_documents("/root/testdata/sf0.001"), partial, cfg)
     assert m["complete"]
     got = SearchEngine(partial).search("spark join", 10)
     assert got["doc_id"].to_pylist() == ref_res["doc_id"].to_pylist()
     assert got["score"].to_pylist() == ref_res["score"].to_pylist()
+    if vocab:
+        def vocab_rows(seg):
+            return pq.read_table(os.path.join(seg, "vocab")).sort_by("term")
+
+        assert vocab_rows(partial).equals(vocab_rows(full))
 
 
 def test_effective_num_buckets_scales_with_corpus():

@@ -108,7 +108,7 @@ def test_fsck_docstore_checks(tmp_path, ray_session):
     _os.unlink(victim)
     rep2 = fsck_index(out).to_pandas()
     doc_row = rep2[rep2["bucket"] == -1].iloc[0]
-    assert not doc_row["ok"] and doc_row["block_meta_errors"] >= 1
+    assert not doc_row["ok"] and doc_row["docstore_errors"] >= 1
 
 
 def test_fsck_tolerates_empty_buckets(tmp_path, ray_session):
@@ -169,10 +169,54 @@ def test_fsck_vocab_sidecar_checks(tmp_path, ray_session):
     t2 = fsck_index(out)
     summary = t2.filter(pa.compute.equal(t2["bucket"], -1))
     assert not summary["ok"].to_pylist()[0]
-    assert summary["decode_errors"].to_pylist()[0] >= 1
+    assert summary["vocab_errors"].to_pylist()[0] >= 1
     # a LOST sidecar is also flagged: the manifest records
     # vocab_sidecar=True, so absence is corruption, not "not built"
     shutil.rmtree(os.path.join(out, "vocab"))
     t3 = fsck_index(out)
     summary3 = t3.filter(pa.compute.equal(t3["bucket"], -1))
     assert not summary3["ok"].to_pylist()[0]
+
+
+def test_fsck_flags_lost_vocab_stripe(tmp_path, ray_session, sf_tiny):
+    """Deleting one stripe file of the vocab sidecar (its dict bucket is
+    still there) leaves the serving vocabulary silently incomplete; fsck
+    reports it in ``vocab_errors`` on the segment row, and only there."""
+    import os
+
+    out = str(tmp_path / "seg_vocab")
+    build_index(
+        corpus_from_documents(sf_tiny),
+        out,
+        EngineConfig(max_gram=1, num_buckets=4, extra={"vocab_sidecar": True}),
+    )
+    assert all(fsck_index(out)["ok"].to_pylist())
+    import glob
+
+    os.remove(sorted(glob.glob(os.path.join(out, "vocab", "*.parquet")))[0])
+    t = fsck_index(out).to_pandas()
+    summary = t[t["bucket"] == -1].iloc[0]
+    assert not summary["ok"]
+    assert summary["vocab_errors"] >= 1
+    assert summary[["docstore_errors", "docid_errors", "cf_mismatches"]].sum() == 0
+    assert t[t["bucket"] >= 0]["ok"].all()
+
+
+def test_fsck_flags_foreign_rows_in_stripe(tmp_path, ray_session, sf_tiny):
+    """A stripe file holding another bucket's rows (each row's own bucket
+    value still consistent with its hash) is flagged."""
+    import os
+
+    out = str(tmp_path / "seg_vocab")
+    build_index(
+        corpus_from_documents(sf_tiny),
+        out,
+        EngineConfig(max_gram=1, num_buckets=4, extra={"vocab_sidecar": True}),
+    )
+    p0, p1 = (os.path.join(out, "vocab", f"part-{b:05d}.parquet") for b in (0, 1))
+    pq.write_table(pa.concat_tables([pq.read_table(p0), pq.read_table(p1)]), p0)
+    os.remove(p1)
+    os.remove(os.path.join(out, "dict-00001.parquet"))  # only the stray rows are wrong
+    t = fsck_index(out).to_pandas()
+    summary = t[t["bucket"] == -1].iloc[0]
+    assert not summary["ok"] and summary["vocab_errors"] >= 1

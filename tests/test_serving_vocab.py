@@ -58,6 +58,60 @@ def test_sidecar_written_and_unigram(vocab_index):
         assert murmur64a(term) % CFG.num_buckets == bucket
 
 
+def _vocab_frame(seg_dir):
+    """The sidecar's (term, df) rows, term-sorted."""
+    t = pq.read_table(f"{seg_dir}/vocab", columns=["term", "df"]).to_pandas()
+    return t.sort_values("term").reset_index(drop=True)
+
+
+def _df_sum(seg_dirs):
+    """Per-term df summed over the sources' sidecars, term-sorted."""
+    import pandas as pd
+
+    both = pd.concat([_vocab_frame(d) for d in seg_dirs])
+    return both.groupby("term", as_index=False)["df"].sum().sort_values("term").reset_index(drop=True)
+
+
+def _assert_striped(seg_dir, nb):
+    """Every row's bucket is murmur64a(term) % nb and part-b holds only
+    bucket b's rows."""
+    import glob
+    import os
+
+    from bitfunnel_ray.functions.hashing import murmur64a
+
+    parts = sorted(glob.glob(f"{seg_dir}/vocab/*.parquet"))
+    assert parts
+    for p in parts:
+        t = pq.read_table(p)
+        b = int(os.path.basename(p)[len("part-"):-len(".parquet")])
+        assert set(t["bucket"].to_pylist()) <= {b}, p
+        assert all(murmur64a(term) % nb == b for term in t["term"].to_pylist()), p
+
+
+@pytest.mark.parametrize("fused_stats", [False, True])
+def test_sidecar_equals_unigram_df_table(tmp_path, ray_session, sf_tiny, fused_stats):
+    """The sidecar holds exactly the unigram rows of the standalone df
+    table over the same corpus, striped by term bucket.  With a fused
+    statistics dir (bigram partials in the same spill) the stripes still
+    hold unigrams only."""
+    from bitfunnel_ray.build.stats import document_frequency_table
+
+    corpus = corpus_from_documents(sf_tiny)
+    extra = {"vocab_sidecar": True}
+    if fused_stats:
+        extra.update(fused_stats_dir=str(tmp_path / "stats"), stats_max_gram=2)
+    seg = str(tmp_path / "seg")
+    build_index(corpus, seg, EngineConfig(max_gram=2, num_buckets=6, extra=extra))
+    want = document_frequency_table(corpus, EngineConfig(max_gram=2)).to_pandas()
+    want = want[want["gram_size"] == 1][["term", "df"]]
+    want = want.sort_values("term").reset_index(drop=True)
+    got = _vocab_frame(seg)
+    assert len(got) == len(want) > 0
+    assert got.equals(want.astype(got.dtypes.to_dict()))
+    _assert_striped(seg, 6)
+
+
 def test_local_engine_autoinstalls(vocab_index, local_truth):
     root, _seg = vocab_index
     eng = SearchEngine(root)
@@ -226,6 +280,24 @@ def test_compaction_preserves_vocab(tmp_path_factory, ray_session):
     for pfx in ("s", "sp", "q", ""):
         assert eng_m.suggest(pfx, 10).equals(eng_u.suggest(pfx, 10)), pfx
     assert eng_m.correct("spurk").equals(eng_u.correct("spurk"))
+    # the whole merged vocab is the per-term df sum of the sources
+    assert _vocab_frame(merged).equals(_df_sum([s1, s2]))
+    _assert_striped(merged, VCFG.num_buckets)
+    # a source whose sidecar is one file of mixed buckets (the layout
+    # written before stripes were per-bucket files) merges to the same table
+    import shutil
+
+    legacy = str(root / "seg-001-legacy")
+    shutil.copytree(s2, legacy)
+    vt = pq.read_table(f"{legacy}/vocab")
+    shutil.rmtree(f"{legacy}/vocab")
+    os.makedirs(f"{legacy}/vocab")
+    pq.write_table(vt.take(np.random.default_rng(0).permutation(len(vt))),
+                   f"{legacy}/vocab/0_000000_000000.parquet")
+    merged2 = str(root / "merged-legacy")
+    merge_segments([s1, legacy], merged2)
+    assert _vocab_frame(merged2).equals(_vocab_frame(merged))
+    _assert_striped(merged2, VCFG.num_buckets)
     # bucket column re-striped to the MERGED config's bucket count
     from bitfunnel_ray.functions.hashing import murmur64a
 
@@ -472,3 +544,63 @@ def test_gather_certifies_or_raises():
     assert gather("prefix_range", [None, None], "", 2) is None
     with pytest.raises(RuntimeError, match="without a vocab sidecar"):
         gather("candidates", [None, (["a"], [1], [0])], "a", 0)
+
+
+def test_one_cpu_build_and_merge_with_vocab(tmp_path, sf_tiny):
+    """On a 1-CPU Ray session the vocab-sidecar build and the merge must
+    finish: no stage may wait on an exchange that cannot get a CPU.  Runs
+    in its own process so it owns its Ray session."""
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(
+        f"""
+        import pandas as pd
+        import pyarrow.parquet as pq
+        import ray
+        import ray.data as rd
+
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from bitfunnel_ray.build.builder import build_index
+        from bitfunnel_ray.build.merge import merge_segments
+        from bitfunnel_ray.config import EngineConfig
+        from bitfunnel_ray.sources.corpus import _lift_documents_batch
+
+        docs = pq.read_table("{sf_tiny}/documents.parquet")
+        cfg = EngineConfig(max_gram=1, num_buckets=4, extra={{"vocab_sidecar": True}})
+        segs = ["{tmp_path}/s1", "{tmp_path}/s2"]
+        for seg, part in zip(segs, (docs.slice(0, 250), docs.slice(250))):
+            build_index(rd.from_arrow(_lift_documents_batch(part)), seg, cfg)
+        merge_segments(segs, "{tmp_path}/m")
+
+        def vocab(d):
+            return pq.read_table(d + "/vocab", columns=["term", "df"]).to_pandas()
+
+        want = pd.concat([vocab(d) for d in segs]).groupby("term")["df"].sum()
+        got = vocab("{tmp_path}/m").set_index("term")["df"].sort_index()
+        assert got.index.is_unique and got.equals(want), "merged vocab != df sum"
+        ray.shutdown()
+        print("OK")
+        """
+    )
+    import os
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(os.path.abspath(__file__))), os.environ.get("PYTHONPATH", "")]
+    )}
+    # own process group: a hung run is killed with the Ray daemons it started
+    p = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env,
+                         start_new_session=True)
+    try:
+        out, err = p.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        import signal
+
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        raise AssertionError("1-CPU build + merge with vocab did not finish in 180 s")
+    assert p.returncode == 0 and out.strip().endswith("OK"), err[-3000:]
