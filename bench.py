@@ -78,9 +78,9 @@ def run_bench() -> dict:
     # warm the PAGE CACHE with an actual data read (count() reads only
     # metadata): the timed build streams the corpus bytes, and r1/r2
     # benches implicitly warmed them via the preceding statistics scan —
-    # this keeps conditions identical now that stats is fused into the
-    # build.  (A real 100 TB build pipelines remote reads with compute;
-    # cold-disk latency of this box is not the benchmark's subject.)
+    # this keeps the first timed stage's conditions identical.  (A real
+    # 100 TB build pipelines remote reads with compute; cold-disk latency
+    # of this box is not the benchmark's subject.)
     import pyarrow as _pa
 
     rd.read_parquet(parquet_files).map_batches(
@@ -108,50 +108,32 @@ def run_bench() -> dict:
         )
         shutil.rmtree(wdir, ignore_errors=True)
 
-    # --- index build (docs/sec headline): STREAMING WAVES + FUSED STATS --
-    # The reference's own workflow runs statistics and ingestion as ONE
-    # corpus walk (StatisticsBuilder.cpp:114-187 drives both builders from
-    # a single ChunkIngestor); here the build's tokenize/spill pass emits
-    # the df/cf partial shards as a side output (fused_stats_dir) so the
-    # statistics product costs NO second corpus read.  The corpus is
-    # ingested in BFR_BUILD_WAVES streaming waves (additive segments,
-    # query-identical to a monolithic build — pytest-proven): wave i's
-    # memory-bandwidth-bound encode overlaps wave i+1's compute-bound
-    # tokenize/spill, so neither phase idles the machine.
-    #
-    # BFR_STATS_MODE=scan restores the two-pass workflow (a separate
-    # statistics scan before the build, the reference's literal stage
-    # order) for A/B against the fused single-pass form.
+    # --- statistics + index build (docs/sec headline) -------------------
+    # Statistics run as the reference's literal separate stage (BitFunnel
+    # statistics -> build): one full-corpus tokenize + hash exchange +
+    # map-side top-k, the measured-fastest form on this box at every size
+    # (600k @32: scan 10.8 s vs fused-waves 12.9 s build+stats).  The
+    # corpus may be ingested in BFR_BUILD_WAVES streaming waves (additive
+    # segments, query-identical to a monolithic build — pytest-proven):
+    # wave i's memory-bandwidth-bound encode overlaps wave i+1's
+    # compute-bound tokenize/spill — the right call when ingestion is
+    # continuous.
     #
     # num_buckets floor is pinned (NOT a function of ncpu) so the 8- and
     # 32-cpu scaling runs do identical work; build_index auto-scales the
     # count with wave size (~16Ki docs/bucket — deterministic in the
     # input).  head_df_threshold is set BELOW the corpus's hottest zipf
     # terms so the skew-salting path actually runs at bench scale
-    # (salt_shift=14 caps salted chunks at 16k postings); the head set is
-    # scanned once from a 5% hash sample and shared by every wave.
+    # (salt_shift=14 caps salted chunks at 16k postings); the head set
+    # comes from the statistics stage and is shared by every wave.
     from bitfunnel_ray.build.builder import build_index, build_index_waves
-    from bitfunnel_ray.build.stats import combine_fused_stats, top_k_by
+    from bitfunnel_ray.build.stats import document_frequency_table, top_k_by
+    from bitfunnel_ray.functions.hashing import murmur64a
 
-    # Default = scan + monolithic build: the measured-fastest form on this
-    # box at every size (600k @32: scan 10.8 s vs fused-waves 12.9 s
-    # build+stats; 2M: 23.5 vs ~31 — /tmp/probe600k_out.json,
-    # /tmp/grid_probe_out.json).  The fused single-pass (BFR_STATS_MODE=
-    # fused) and wave-overlapped (BFR_BUILD_WAVES=N) forms are the right
-    # call when input re-reads hit remote object storage / ingestion is
-    # continuous — page-cached local parquet hides exactly that cost.
     head_df_threshold = 1 << 15
-    stats_mode = os.environ.get("BFR_STATS_MODE", "scan")
-    # stats partials are shuffle-intermediate data, not output: keep them
-    # on RAM-backed storage like the spill shards (a disk-backed /tmp adds
-    # a write-back floor that is identical at every parallelism level)
-    stats_root = "/dev/shm" if os.path.isdir("/dev/shm") else "/tmp"
-    stats_dir = os.path.join(stats_root, "bfr_bench_stats_partials")
     idx_dir = "/tmp/bfr_bench_idx"
     n_waves = int(os.environ.get("BFR_BUILD_WAVES", "1"))
     extra = {}
-    if stats_mode == "fused":
-        extra = {"fused_stats_dir": stats_dir, "stats_max_gram": 1}
     if os.environ.get("BFR_ENCODE_NCPU"):
         extra["encode_num_cpus"] = float(os.environ["BFR_ENCODE_NCPU"])
     if os.environ.get("BFR_SPILL_COMP"):
@@ -164,35 +146,29 @@ def run_bench() -> dict:
         extra=extra,
     )
 
-    df_tbl = None
-    if stats_mode == "scan":
-        # r2-style separate statistics pass: one full-corpus tokenize +
-        # hash exchange + map-side top-k (BitFunnel statistics, literal)
-        from bitfunnel_ray.build.stats import document_frequency_table
-        from bitfunnel_ray.functions.hashing import murmur64a
-
-        t0 = time.perf_counter()
-        df_tbl = top_k_by(
-            document_frequency_table(
-                rd.read_parquet(parquet_files, override_num_blocks=128),
-                EngineConfig(max_gram=1),
-            ).select_columns(["term", "df", "term_hash"]),
-            k=5000,
-            col="df",
-            tiebreak="term_hash",
-        ).to_pandas()
-        if want("stats_df"):
-            timings["stats_df"] = time.perf_counter() - t0
-        head_hashes = np.array(
-            [murmur64a(t) for t in df_tbl.loc[df_tbl["df"] > head_df_threshold, "term"]],
-            dtype=np.uint64,
-        )
-        cfg.extra["head_hashes"] = head_hashes
+    # the unigram df table (lazy: the suggest micro-bench below re-runs it)
+    t0 = time.perf_counter()
+    df_ds = document_frequency_table(
+        rd.read_parquet(parquet_files, override_num_blocks=128),
+        EngineConfig(max_gram=1),
+    )
+    df_tbl = top_k_by(
+        df_ds.select_columns(["term", "df", "term_hash"]),
+        k=5000,
+        col="df",
+        tiebreak="term_hash",
+    ).to_pandas()
+    if want("stats_df"):
+        timings["stats_df"] = time.perf_counter() - t0
+    head_hashes = np.array(
+        [murmur64a(t) for t in df_tbl.loc[df_tbl["df"] > head_df_threshold, "term"]],
+        dtype=np.uint64,
+    )
+    cfg.extra["head_hashes"] = head_hashes
 
     seg_dirs = [idx_dir]
     if want("index_build") or want("query_serve") or want("stats_df"):
         shutil.rmtree(idx_dir, ignore_errors=True)
-        shutil.rmtree(stats_dir, ignore_errors=True)
         t0 = time.perf_counter()
         if n_waves == 1:
             # monolithic build: no deferred-encode concurrency cap
@@ -242,12 +218,7 @@ def run_bench() -> dict:
         build_index(
             rd.read_parquet(parquet_files, override_num_blocks=128),
             auto_dir,
-            _dc.replace(
-                cfg,
-                treatment_bands=auto_bands,
-                # never re-emit fused stats partials from the A/B rebuild
-                extra={k: v for k, v in cfg.extra.items() if k != "fused_stats_dir"},
-            ),
+            _dc.replace(cfg, treatment_bands=auto_bands),
         )
 
         def _seg_bytes_postings(d):
@@ -287,22 +258,6 @@ def run_bench() -> dict:
         shutil.rmtree(auto_dir, ignore_errors=True)
       except Exception as e:  # noqa: BLE001
         extras["auto_bands_error"] = repr(e)
-
-    # --- statistics finish (df table; the 'BitFunnel statistics' analog) -
-    # fused mode: the corpus walk already happened inside the build; this
-    # stage is the partial-shard combine (one small hash exchange over
-    # vocab-sized partials) + the map-side top-k prune — never a corpus
-    # read, never an all-to-all sort of the full vocabulary
-    if stats_mode == "fused":
-        t0 = time.perf_counter()
-        df_tbl = top_k_by(
-            combine_fused_stats(stats_dir).select_columns(["term", "df", "term_hash"]),
-            k=5000,
-            col="df",
-            tiebreak="term_hash",
-        ).to_pandas()
-        if want("stats_df"):
-            timings["stats_df"] = time.perf_counter() - t0
 
     # --- query serving (term-sharded actors + scatter-gather fronts) -----
     # each shard actor opens only its bucket subset (~1/4 of the dict);
@@ -372,20 +327,11 @@ def run_bench() -> dict:
         # the already-computed full df table, then measured keystroke
         # completion and correction rates.
         try:  # an extras failure must not sink the whole bench run
-            from bitfunnel_ray.build.stats import document_frequency_table
-            from bitfunnel_ray.config import EngineConfig as _EC2
             from bitfunnel_ray.ops.suggest import SuggestIndex
             from bitfunnel_ray.query.fuzzy import VocabFuzzyMatcher
 
-            # full unigram vocabulary: fused partials when available
-            # (BFR_STATS_MODE=fused), else one untimed scan
-            if os.path.isdir(stats_dir):
-                full_src = combine_fused_stats(stats_dir)
-            else:
-                full_src = document_frequency_table(
-                    rd.read_parquet(parquet_files), _EC2(max_gram=1)
-                )
-            full_dft = full_src.select_columns(["term", "df"]).to_pandas()
+            # full unigram vocabulary: one untimed re-run of the stats scan
+            full_dft = df_ds.select_columns(["term", "df"]).to_pandas()
             si = SuggestIndex(
                 full_dft["term"].to_numpy(), full_dft["df"].to_numpy()
             )
@@ -690,12 +636,6 @@ def run_scaling() -> dict:
         # ratio (~0.47 eff); pinning the per-node bandwidth knob to the
         # production operating point (2 cpus/encode task) restores the
         # stage to 0.84 and the build criterion to ~0.78 per single rep.
-        # Statistics run as the reference's literal separate stage
-        # (BitFunnel statistics -> build); the fused single-pass form is
-        # the right call when input re-reads hit remote storage, but this
-        # box's page cache hides that cost and the fused combine scales
-        # worse than the scan (measured /tmp/grid_probe_out.json).
-        env.setdefault("BFR_STATS_MODE", "scan")
         env.setdefault("BFR_BUILD_WAVES", "1")
         env.setdefault("BFR_ENCODE_NCPU", "2")
         # pinned exchange partition count (the auto cpus/2 gave the 8-cpu

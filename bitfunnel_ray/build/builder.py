@@ -45,7 +45,7 @@ import ray
 import ray.data
 
 from bitfunnel_ray.build import segment
-from bitfunnel_ray.build.encode import encode_bucket
+from bitfunnel_ray.build.encode import check_bands, encode_bucket
 from bitfunnel_ray.build.stats import document_frequency_table
 from bitfunnel_ray.config import EngineConfig
 from bitfunnel_ray.stages.tokenize import tokenize_batch
@@ -105,15 +105,15 @@ class TokenizePostings:
         cfg: EngineConfig,
         head_ref=None,
         skip_buckets: frozenset[int] = frozenset(),
-        stats_max_gram: int | None = None,
+        vocab: bool = False,
     ):
         self.cfg = cfg
         self.skip = skip_buckets
-        # fused statistics (StatisticsBuilder precedent — stats and ingest
-        # are ONE corpus walk): when set, build_postings also returns the
-        # per-batch df/cf partial over the BODY stream's PRE-stream-fold
+        # vocab sidecar (StatisticsBuilder precedent — stats and ingest
+        # are ONE corpus walk): build_postings also returns the per-batch
+        # unigram df/cf partial over the BODY stream's PRE-stream-fold
         # hashes (identical to a standalone document_frequency_table scan)
-        self.stats_max_gram = stats_max_gram
+        self.vocab = vocab
         if head_ref is not None:
             heads = ray.get(head_ref) if isinstance(head_ref, ray.ObjectRef) else head_ref
             self.head_hashes = np.sort(np.asarray(heads, dtype=np.uint64))
@@ -134,7 +134,7 @@ class TokenizePostings:
         self, batch: pa.Table
     ) -> "tuple[pa.Table, np.ndarray, pa.Table | None]":
         """Returns (postings table, per-document doclen of the body stream
-        — the whitespace token count docmeta records, fused df/cf partial
+        — the whitespace token count docmeta records, unigram df/cf partial
         table or None)."""
         from bitfunnel_ray.functions.mem import tune_allocator
 
@@ -147,7 +147,7 @@ class TokenizePostings:
             if col not in batch.column_names:
                 continue
             is_body = col == "text" or not parts
-            want_stats = self.stats_max_gram is not None and is_body
+            want_stats = self.vocab and is_body
             part = self._stream_postings(batch, col, sid, keep_pos=want_stats)
             parts.append(part)
             if is_body:
@@ -155,9 +155,7 @@ class TokenizePostings:
             if want_stats:
                 from bitfunnel_ray.build.stats import partial_term_stats
 
-                stats_tbl = partial_term_stats(
-                    part[6], emit_text=True, stats_max_gram=self.stats_max_gram
-                )
+                stats_tbl = partial_term_stats(part[6], emit_text=True, max_gram=1)
         # facts (IFactSet analog): one synthetic posting per (fact, doc)
         # where the boolean column holds — vectorized mask, tf=1, doclen =
         # body doclen so the posting layout matches every other term
@@ -316,27 +314,12 @@ class TokenizeSpill:
     shard loss) plus one summary row (bucket = -1) carrying the
     doc-count/doclen partials."""
 
-    def __init__(
-        self,
-        cfg,
-        head_ref,
-        skip_buckets,
-        spill_dir: str,
-        meta_dir: str,
-        stats_dir: str | None = None,
-        stats_max_gram: int = 1,
-    ):
-        # stats_dir: fused-statistics sidecar — each batch also writes its
-        # df/cf partial shard there (deterministic name, retry-overwrites),
-        # so the df table needs NO second corpus read (combine_fused_stats).
-        self.vocab = bool(cfg.extra.get("vocab_sidecar"))
+    def __init__(self, cfg, head_ref, skip_buckets, spill_dir: str, meta_dir: str):
         self.tp = TokenizePostings(
-            cfg, head_ref, skip_buckets,
-            stats_max_gram=stats_max_gram if stats_dir else (1 if self.vocab else None),
+            cfg, head_ref, skip_buckets, vocab=bool(cfg.extra.get("vocab_sidecar"))
         )
         self.spill_dir = spill_dir
         self.meta_dir = meta_dir
-        self.stats_dir = stats_dir
         # stored-fields sidecar (build/docstore.py) — staged beside the
         # docmeta tmp dir and published atomically with it
         self.store_dir = (meta_dir + "-docstore") if cfg.store_fields else None
@@ -350,12 +333,9 @@ class TokenizeSpill:
         comp = cfg.extra.get("spill_compression", "lz4")
         self.compression = None if comp in (None, "none") else comp
 
-    def _vocab_partial(self, stats_tbl: pa.Table) -> pa.Table:
-        """(bucket, term, df) unigram rows of one batch, bucket = the
-        stripe ``term_hash % B``; stripes already on disk are dropped."""
-        uni = stats_tbl.filter(
-            pa.array(stats_tbl["gram_size"].to_numpy(zero_copy_only=False) == 1)
-        )
+    def _vocab_partial(self, uni: pa.Table) -> pa.Table:
+        """(bucket, term, df) rows of one batch's unigram partial, bucket =
+        the stripe ``term_hash % B``; stripes already on disk are dropped."""
         h = uni["term_hash"].to_numpy(zero_copy_only=False).view(np.uint64)
         stripe = (h % np.uint64(self.tp.cfg.num_buckets)).astype(np.int32)
         vt = pa.table(
@@ -395,11 +375,6 @@ class TokenizeSpill:
         meta = pa.table(meta_cols)
         os.makedirs(self.meta_dir, exist_ok=True)
         _pq.write_table(meta, os.path.join(self.meta_dir, f"part-{batch_tag}.parquet"))
-        if stats_tbl is not None and self.stats_dir:
-            os.makedirs(self.stats_dir, exist_ok=True)
-            _pq.write_table(
-                stats_tbl, os.path.join(self.stats_dir, f"part-{batch_tag}.parquet")
-            )
         if self.store_dir and len(batch):
             # stored-fields sidecar (build/docstore.py): doc_id-sorted so
             # parquet row-group stats give tight ranges for point lookups;
@@ -422,7 +397,7 @@ class TokenizeSpill:
             rows = _spill_bucket_shards(
                 postings, self.spill_dir, self.compression, shard=batch_tag
             )
-        if self.vocab and stats_tbl is not None:
+        if stats_tbl is not None:
             vrows = _spill_bucket_shards(
                 self._vocab_partial(stats_tbl), self.spill_dir, self.compression,
                 shard=batch_tag, kind="vocab",
@@ -453,13 +428,10 @@ _SPILL_MEMO: dict = {}
 
 
 def _spill_map(batch: pa.Table, *, ctor: tuple) -> pa.Table:
-    cfg, head_ref, skip, spill_dir, meta_dir, stats_dir, stats_max_gram = ctor
+    cfg, head_ref, skip, spill_dir, meta_dir = ctor
     ts = _SPILL_MEMO.get(spill_dir)
     if ts is None:
-        ts = TokenizeSpill(
-            cfg, head_ref, skip, spill_dir, meta_dir,
-            stats_dir=stats_dir, stats_max_gram=stats_max_gram,
-        )
+        ts = TokenizeSpill(cfg, head_ref, skip, spill_dir, meta_dir)
         _SPILL_MEMO.clear()  # one live spill per worker; drop stale state
         _SPILL_MEMO[spill_dir] = ts
     return ts(batch)
@@ -468,7 +440,7 @@ def _spill_map(batch: pa.Table, *, ctor: tuple) -> pa.Table:
 def _encode_num_cpus(cfg: EngineConfig) -> float:
     """CPUs reserved per encode task.  Encode is memory-bandwidth-bound,
     not compute-bound: at full task-per-core concurrency 32 concurrent
-    varint/PFor packers thrash the shared bus and run ABSOLUTELY slower
+    varint/EF packers thrash the shared bus and run ABSOLUTELY slower
     than 16 (measured 2M-doc A/B: encode 16.2-23.6 s at 32-way vs
     8.4-18.3 s at 16-way, min-of-2 each).  2 CPUs per task halves the
     concurrent encode tasks per node; on a real cluster this is per-node
@@ -636,11 +608,6 @@ def build_index(
     Returns the manifest dict.  Idempotent: a completed segment returns
     immediately; a partial one rebuilds only missing buckets.
 
-    ``cfg.extra["fused_stats_dir"]``: also emit per-batch df/cf partial
-    shards (gram sizes ≤ ``extra["stats_max_gram"]``, default 1) from the
-    SAME tokenize pass — the StatisticsBuilder fusion; finish with
-    ``stats.combine_fused_stats``.
-
     ``cfg.extra["vocab_sidecar"]``: also write the serving vocabulary,
     ``vocab/part-{b:05d}.parquet`` = the unigram (term, df, bucket) rows
     of stripe b, from the same pass (see ``TokenizeSpill``).
@@ -652,6 +619,7 @@ def build_index(
     NEXT segment's (compute-bound) tokenize/spill.
     """
     cfg = cfg or EngineConfig()
+    check_bands(cfg.treatment_bands)
     eff_buckets = effective_num_buckets(cfg, corpus)
     if eff_buckets != cfg.num_buckets:
         import dataclasses as _dc
@@ -827,11 +795,7 @@ def build_index(
             acks = corpus.select_columns(sel).map_batches(
                 partial(
                     _spill_map,
-                    ctor=(
-                        cfg_task, head_ref, done, spill_dir, meta_tmp,
-                        cfg.extra.get("fused_stats_dir"),
-                        int(cfg.extra.get("stats_max_gram", 1)),
-                    ),
+                    ctor=(cfg_task, head_ref, done, spill_dir, meta_tmp),
                 ),
                 batch_size=spill_batch,
                 batch_format="pyarrow",
@@ -1017,8 +981,6 @@ def build_index_waves(
 
     One head-term set is scanned up front and shared by every wave
     (salting must agree across segments for sharded head routing).
-    ``cfg.extra["fused_stats_dir"]`` composes: every wave's spill emits
-    df/cf partials into the same durable sidecar dir.
 
     Resume: per-wave segment manifests are idempotent — completed waves
     are skipped, partially-built waves rebuild only missing buckets.

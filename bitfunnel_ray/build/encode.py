@@ -15,10 +15,17 @@ skip regions that cannot contribute to the top-k (block-max WAND).
 vectorized numpy (no per-term varint calls): per-chunk payload boundaries
 are computed from per-value byte lengths, and block metadata via
 repeat/reduceat segmented ops.
+
+The doc-delta stream of a chunk uses the codec its treatment band names
+(``CODECS``: varint or Elias–Fano).  This module owns both directions:
+``decode_chunk`` decodes one chunk (engine, fsck) and
+``decode_bucket_table`` a whole bucket (merge); both go through
+``decode_deltas``, which rejects an unknown codec id.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +33,7 @@ import pyarrow as pa
 
 from bitfunnel_ray.functions import varint
 from bitfunnel_ray.functions.bm25 import tf_norm
+from bitfunnel_ray.functions.ef import decode_ef, encode_ef
 
 DICT_SCHEMA = pa.schema(
     [
@@ -34,8 +42,8 @@ DICT_SCHEMA = pa.schema(
         ("salt", pa.uint32()),
         ("n_postings", pa.int64()),
         ("cf", pa.int64()),
-        # doc-delta stream codec per chunk (treatment-band choice):
-        # 0 = LEB128 varint, 1 = PFor patched bit-packing (functions/pfor.py)
+        # doc-delta stream codec id per chunk (treatment-band choice;
+        # ids in ``CODECS`` below)
         ("codec", pa.uint8()),
         ("docs_payload", pa.large_binary()),
         ("tf_payload", pa.large_binary()),
@@ -45,10 +53,48 @@ DICT_SCHEMA = pa.schema(
     ]
 )
 
+
+@dataclass(frozen=True)
+class Codec:
+    """One doc-delta codec: ``id`` is the dict ``codec`` value on disk."""
+
+    id: int
+    encode: Callable[[np.ndarray], np.ndarray]  # uint64 deltas → uint8 stream
+    decode: Callable[[np.ndarray, int], np.ndarray]  # (stream, count) → deltas
+
+
 CODEC_VARINT = 0
-CODEC_PFOR = 1
-CODEC_EF = 2  # Elias–Fano (functions/ef.py)
-_CODEC_IDS = {"varint": CODEC_VARINT, "pfor": CODEC_PFOR, "ef": CODEC_EF}
+CODEC_EF = 2  # Elias–Fano (functions/ef.py); id 1 is retired (``decode_deltas``)
+# treatment-band codec name → codec; ids are on disk, never renumber them
+CODECS = {
+    "varint": Codec(CODEC_VARINT, varint.encode, varint.decode),
+    "ef": Codec(CODEC_EF, encode_ef, decode_ef),
+}
+_BY_ID = {c.id: c for c in CODECS.values()}
+
+
+def check_bands(bands) -> None:
+    """Reject a treatment band naming an unknown codec — run before any
+    spill or encode, so a bad config fails before touching the corpus."""
+    for band in bands or ():
+        if len(band) > 2 and band[2] not in CODECS:
+            raise ValueError(
+                f"treatment band {tuple(band)!r}: unknown codec {band[2]!r} "
+                f"(valid codecs: {sorted(CODECS)})"
+            )
+
+
+def decode_deltas(codec: int, buf: np.ndarray, count: int) -> np.ndarray:
+    """One chunk's doc-delta payload → its ``count`` uint64 deltas."""
+    c = _BY_ID.get(int(codec))
+    if c is None:
+        if int(codec) == 1:
+            raise ValueError(
+                "doc-delta codec id 1 (PFor) is retired: rebuild this segment "
+                f"(codecs: {sorted(CODECS)})"
+            )
+        raise ValueError(f"unknown doc-delta codec id {codec} (known: {sorted(_BY_ID)})")
+    return c.decode(buf, count)
 
 
 def _binary_from_stream(stream: np.ndarray, cell_ends: np.ndarray) -> pa.LargeBinaryArray:
@@ -182,7 +228,7 @@ def _encode_part(term_hash, gram_size, salt, doc_id, tf, doclen, avgdl, k1, b, b
             return (
                 band[0],
                 int(band[1]),
-                _CODEC_IDS[band[2]] if len(band) > 2 else CODEC_VARINT,
+                CODECS[band[2]].id if len(band) > 2 else CODEC_VARINT,
             )
 
         _, last_bs, last_cd = _parse(block_size[-1])
@@ -194,12 +240,8 @@ def _encode_part(term_hash, gram_size, salt, doc_id, tf, doclen, avgdl, k1, b, b
             bs_chunk[m] = bs
             codec_chunk[m] = cd
     if codec_chunk.any():
-        # splice PFor/EF-encoded doc-delta segments over the varint stream
-        # for the (few, long) chunks whose band chose a packed codec
-        from bitfunnel_ray.functions.ef import encode_ef
-        from bitfunnel_ray.functions.pfor import encode_pfor
-
-        _encoders = {CODEC_PFOR: encode_pfor, CODEC_EF: encode_ef}
+        # splice packed doc-delta segments over the varint stream for the
+        # (few, long) chunks whose band chose a packed codec
         sz = np.diff(np.concatenate([[0], docs_ends]))
         vstarts = docs_ends - sz
         new_sz = sz.copy()
@@ -207,7 +249,7 @@ def _encode_part(term_hash, gram_size, salt, doc_id, tf, doclen, avgdl, k1, b, b
         cursor = 0
         for j in np.flatnonzero(codec_chunk != CODEC_VARINT):
             pieces.append(docs_stream[cursor : vstarts[j]])
-            seg = _encoders[int(codec_chunk[j])](deltas[starts[j] : starts[j] + lens[j]])
+            seg = _BY_ID[int(codec_chunk[j])].encode(deltas[starts[j] : starts[j] + lens[j]])
             pieces.append(seg)
             new_sz[j] = len(seg)
             cursor = int(docs_ends[j])
@@ -317,18 +359,78 @@ def decode_chunk(
     n_postings: int,
     codec: int = CODEC_VARINT,
 ) -> DecodedChunk:
-    buf = np.frombuffer(docs_payload, dtype=np.uint8)
-    if codec == CODEC_PFOR:
-        from bitfunnel_ray.functions.pfor import decode_pfor
-
-        deltas = decode_pfor(buf, n_postings)
-    elif codec == CODEC_EF:
-        from bitfunnel_ray.functions.ef import decode_ef
-
-        deltas = decode_ef(buf, n_postings)
-    else:
-        deltas = varint.decode(buf, count=n_postings)
+    deltas = decode_deltas(codec, np.frombuffer(docs_payload, dtype=np.uint8), n_postings)
     doc_ids = np.cumsum(deltas, dtype=np.uint64)
     tf = varint.decode(np.frombuffer(tf_payload, dtype=np.uint8), count=n_postings)
     dl = varint.decode(np.frombuffer(dl_payload, dtype=np.uint8), count=n_postings)
     return DecodedChunk(doc_ids, tf, dl)
+
+
+def _column_stream(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
+    """Concatenated bytes of a large_binary column as one uint8 array."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    offs = np.frombuffer(arr.buffers()[1], dtype=np.int64, count=len(arr) + 1)
+    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
+    return data[offs[0] : offs[-1]]
+
+
+def decode_doc_deltas(t: pa.Table) -> np.ndarray:
+    """Flat doc-delta stream of every chunk of a dict table (each chunk's
+    first delta absolute).  All-varint tables decode in one whole-column
+    pass; otherwise the varint rows still decode together and each
+    packed chunk decodes through its codec."""
+    n_post = t["n_postings"].to_numpy()
+    total = int(n_post.sum())
+    codec = (
+        t["codec"].to_numpy(zero_copy_only=False)
+        if "codec" in t.column_names
+        else np.zeros(len(t), np.uint8)
+    )
+    if not codec.any():
+        return varint.decode(_column_stream(t["docs_payload"]), count=total)
+    deltas = np.empty(total, dtype=np.uint64)
+    post_starts = np.concatenate([[0], np.cumsum(n_post)[:-1]]).astype(np.int64)
+    v_rows = np.flatnonzero(codec == CODEC_VARINT)
+    if len(v_rows):
+        v_np = n_post[v_rows]
+        v_deltas = varint.decode(
+            _column_stream(t.take(pa.array(v_rows))["docs_payload"]), count=int(v_np.sum())
+        )
+        # scatter the varint rows' deltas back to their chunk slots
+        idx = np.repeat(post_starts[v_rows], v_np) + (
+            np.arange(int(v_np.sum())) - np.repeat(np.cumsum(v_np) - v_np, v_np)
+        )
+        deltas[idx] = v_deltas
+    docs_col = t["docs_payload"]
+    for r in np.flatnonzero(codec != CODEC_VARINT):
+        n = int(n_post[r])
+        deltas[post_starts[r] : post_starts[r] + n] = decode_deltas(
+            codec[r], np.frombuffer(docs_col[int(r)].as_py(), dtype=np.uint8), n
+        )
+    return deltas
+
+
+def decode_bucket_table(t: pa.Table):
+    """dict table → flat posting arrays (term_hash, gram, salt, doc_id,
+    tf, doclen), whole-bucket vectorized: one varint decode per stream and
+    a segmented cumsum to undo the per-chunk delta encoding."""
+    n_post = t["n_postings"].to_numpy()
+    total = int(n_post.sum())
+    if total == 0:
+        e = np.empty(0, np.uint64)
+        return e, np.empty(0, np.uint8), np.empty(0, np.uint32), e, e, e
+    deltas = decode_doc_deltas(t)
+    tf = varint.decode(_column_stream(t["tf_payload"]), count=total)
+    dl = varint.decode(_column_stream(t["dl_payload"]), count=total)
+    starts = np.concatenate([[0], np.cumsum(n_post)[:-1]]).astype(np.int64)
+    # segmented cumsum: the first delta of each chunk is absolute, so
+    # doc_id = running_total - running_total[chunk_start - 1]
+    run = np.cumsum(deltas, dtype=np.uint64)
+    prev = np.empty(len(starts), dtype=np.uint64)
+    prev[0] = 0
+    prev[1:] = run[starts[1:] - 1]
+    doc_ids = run - np.repeat(prev, n_post)
+    h = np.repeat(t["term_hash"].to_numpy(), n_post)
+    g = np.repeat(t["gram_size"].to_numpy(), n_post)
+    s = np.repeat(t["salt"].to_numpy(), n_post)
+    return h, g, s, doc_ids, tf, dl

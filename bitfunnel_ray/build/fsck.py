@@ -5,7 +5,8 @@ against a brute-force oracle (tools/BitFunnel/src/Commands.cpp); this
 audits the STORED structures themselves, per segment:
 
 per dict row (posting chunk):
-  - payloads decode (varint / PForDelta) to exactly ``n_postings`` ids;
+  - payloads decode (a known codec: varint / Elias–Fano) to exactly
+    ``n_postings`` ids;
   - doc_ids strictly ascending within the chunk;
   - tf >= 1 everywhere and ``cf == sum(tf)``;
   - block metadata exact: ``last_docs`` ascending, final entry equals

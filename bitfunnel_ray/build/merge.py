@@ -5,8 +5,8 @@ src/Index/src/Shard.cpp; here immutable additive segments are the unit).
 Segments built with the same EngineConfig share term-hash bucketing, so
 merging is embarrassingly parallel PER BUCKET — no shuffle: bucket b of
 every input segment co-locates exactly the same term-hash range.  Each
-merge task decodes its bucket's posting lists (whole-bucket vectorized
-varint decode — no per-chunk python), concatenates across segments,
+merge task decodes its bucket's posting lists
+(``encode.decode_bucket_table``, whole-bucket vectorized), concatenates across segments,
 optionally drops tombstoned documents (compaction), and re-encodes with
 the COMBINED avgdl so BM25 block-max metadata is exact for the merged
 corpus.  Output is bit-for-bit what a from-scratch build over the union
@@ -31,79 +31,8 @@ import pyarrow.parquet as pq
 import ray.data
 
 from bitfunnel_ray.build import segment as seglib
-from bitfunnel_ray.build.encode import encode_bucket
+from bitfunnel_ray.build.encode import check_bands, decode_bucket_table, encode_bucket
 from bitfunnel_ray.config import EngineConfig
-from bitfunnel_ray.functions import varint
-
-
-def _column_stream(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
-    """Concatenated bytes of a large_binary column as one uint8 array."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    offs = np.frombuffer(arr.buffers()[1], dtype=np.int64, count=len(arr) + 1)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    return data[offs[0] : offs[-1]]
-
-
-def decode_bucket_table(t: pa.Table):
-    """dict table → flat posting arrays (term_hash, gram, salt, doc_id,
-    tf, doclen), whole-bucket vectorized: one varint decode per stream and
-    a segmented cumsum to undo the per-chunk delta encoding.  PFor-coded
-    chunks (treatment bands — few, long lists) decode chunk-wise and are
-    spliced back into the delta stream."""
-    n_post = t["n_postings"].to_numpy()
-    total = int(n_post.sum())
-    if total == 0:
-        e = np.empty(0, np.uint64)
-        return e, np.empty(0, np.uint8), np.empty(0, np.uint32), e, e, e
-    codec = (
-        t["codec"].to_numpy(zero_copy_only=False)
-        if "codec" in t.column_names
-        else np.zeros(len(t), np.uint8)
-    )
-    if codec.any():
-        from bitfunnel_ray.build.encode import CODEC_PFOR
-        from bitfunnel_ray.functions.pfor import decode_pfor
-
-        docs_col = t["docs_payload"].combine_chunks() if isinstance(
-            t["docs_payload"], pa.ChunkedArray
-        ) else t["docs_payload"]
-        post_starts = np.concatenate([[0], np.cumsum(n_post)[:-1]]).astype(np.int64)
-        deltas = np.empty(total, dtype=np.uint64)
-        v_rows = np.flatnonzero(codec != CODEC_PFOR)
-        if len(v_rows):
-            vt = t.take(pa.array(v_rows))
-            v_deltas = varint.decode(
-                _column_stream(vt["docs_payload"]),
-                count=int(vt["n_postings"].to_numpy().sum()),
-            )
-            # scatter the varint rows' deltas back to their chunk slots
-            v_np = n_post[v_rows]
-            idx = np.repeat(post_starts[v_rows], v_np) + (
-                np.arange(int(v_np.sum()))
-                - np.repeat(np.cumsum(v_np) - v_np, v_np)
-            )
-            deltas[idx] = v_deltas
-        for r in np.flatnonzero(codec == CODEC_PFOR):
-            deltas[post_starts[r] : post_starts[r] + n_post[r]] = decode_pfor(
-                np.frombuffer(docs_col[int(r)].as_py(), dtype=np.uint8),
-                int(n_post[r]),
-            )
-    else:
-        deltas = varint.decode(_column_stream(t["docs_payload"]), count=total)
-    tf = varint.decode(_column_stream(t["tf_payload"]), count=total)
-    dl = varint.decode(_column_stream(t["dl_payload"]), count=total)
-    starts = np.concatenate([[0], np.cumsum(n_post)[:-1]]).astype(np.int64)
-    # segmented cumsum: the first delta of each chunk is absolute, so
-    # doc_id = running_total - running_total[chunk_start - 1]
-    run = np.cumsum(deltas, dtype=np.uint64)
-    prev = np.empty(len(starts), dtype=np.uint64)
-    prev[0] = 0
-    prev[1:] = run[starts[1:] - 1]
-    doc_ids = run - np.repeat(prev, n_post)
-    h = np.repeat(t["term_hash"].to_numpy(), n_post)
-    g = np.repeat(t["gram_size"].to_numpy(), n_post)
-    s = np.repeat(t["salt"].to_numpy(), n_post)
-    return h, g, s, doc_ids, tf, dl
 
 
 def _merge_bucket_batch(
@@ -239,6 +168,7 @@ def merge_segments(
         treatment_bands=tuple(tuple(b) for b in bands) if bands else None,
         store_fields=tuple(c0.get("store_fields") or ()),
     )
+    check_bands(cfg.treatment_bands)
     existing = seglib.load_manifest(out_dir)
     if existing is not None and existing.get("complete"):
         return existing

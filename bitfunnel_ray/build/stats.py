@@ -25,19 +25,19 @@ from bitfunnel_ray.config import EngineConfig
 from bitfunnel_ray.stages.tokenize import tokenize_batch
 
 
-def partial_term_stats(r, emit_text: bool = True, stats_max_gram: int | None = None) -> pa.Table:
+def partial_term_stats(r, emit_text: bool = True, max_gram: int | None = None) -> pa.Table:
     """Per-batch combiner over a TokenizeResult: one row per batch-unique
     (term_hash, gram) with partial df (unique-doc count — postings are
     already unique per (row, term)) and partial cf (tf sum).
 
     Term text is reconstructed lazily for the ≤ vocab-sized unique rows
     when the result carries positions (``keep_pos=True``), else taken from
-    ``r.term``.  ``stats_max_gram`` restricts the partial to gram sizes ≤ n
-    (the fused build pass tokenizes at the BUILD max_gram but the df-table
-    sidecar usually wants unigrams only)."""
+    ``r.term``.  ``max_gram`` restricts the partial to gram sizes ≤ n (the
+    build pass tokenizes at the BUILD max_gram but the vocab sidecar holds
+    unigrams only)."""
     h, g, tf, pos = r.term_hash, r.gram_size, r.tf, r.pos
-    if stats_max_gram is not None and len(g) and int(g.max()) > stats_max_gram:
-        m = g <= stats_max_gram
+    if max_gram is not None and len(g) and int(g.max()) > max_gram:
+        m = g <= max_gram
         h, g, tf = h[m], g[m], tf[m]
         pos = pos[m] if pos is not None else None
     if len(h) == 0:
@@ -125,22 +125,16 @@ def document_frequency_table(
 
 
 def _combine_term_stats(t: pa.Table, *, emit_text: bool) -> pa.Table:
-    """Sum df/cf partials per (term_hash, gram) within one block.
-
-    Accepts either partial columns (df_part/cf_part) or already-combined
-    ones (df/cf) — the op is associative, so it can run BOTH as a map-side
-    pre-combine over raw partial shards (shrinking rows before the
-    exchange) and as the post-exchange finish."""
-    dfc = "df_part" if "df_part" in t.column_names else "df"
-    cfc = "cf_part" if "cf_part" in t.column_names else "cf"
+    """Sum df/cf partials per (term_hash, gram) within one block (the
+    post-exchange finish)."""
     if len(t) == 0:
         return t.select(
             ["term_hash", "gram_size"] + (["term"] if emit_text else [])
         ).append_column("df", pa.array([], pa.int64())).append_column("cf", pa.array([], pa.int64()))
     h = t["term_hash"].to_numpy(zero_copy_only=False)
     g = t["gram_size"].to_numpy(zero_copy_only=False)
-    dfp = t[dfc].to_numpy(zero_copy_only=False)
-    cfp = t[cfc].to_numpy(zero_copy_only=False)
+    dfp = t["df_part"].to_numpy(zero_copy_only=False)
+    cfp = t["cf_part"].to_numpy(zero_copy_only=False)
     order = np.lexsort((g, h))
     h, g = h[order], g[order]
     new = np.empty(len(h), dtype=bool)
@@ -165,37 +159,6 @@ def _combine_term_stats(t: pa.Table, *, emit_text: bool) -> pa.Table:
             "cf": cols["cf"],
         }
     return pa.table(cols)
-
-
-def combine_fused_stats(stats_dir: str, emit_text: bool = True) -> "ray.data.Dataset":
-    """Finish the FUSED statistics pass: the index build's tokenize/spill
-    stage already emitted one df/cf partial shard per map batch into
-    ``stats_dir`` (build/builder.py TokenizeSpill with a fused stats dir —
-    the reference's own shape: statistics and ingestion are ONE corpus
-    walk, tools/BitFunnel/src/StatisticsBuilder.cpp:114-187 drives both
-    builders from a single ChunkIngestor).  This combine is a small hash
-    exchange over partial rows (∝ vocab × map batches), never a second
-    corpus read.  Output schema == ``document_frequency_table``."""
-    from functools import partial as _bind
-
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
-
-    parts = ray.data.read_parquet(stats_dir, file_extensions=["parquet"])
-    # hierarchical combine: each read block pre-combines its shards before
-    # the exchange — with one partial shard per spill batch, common (zipf)
-    # terms repeat in EVERY shard, so the pre-combine shrinks exchanged
-    # rows by roughly the shards-per-block factor
-    pre = parts.map_batches(
-        _bind(_combine_term_stats, emit_text=emit_text),
-        batch_size=None,
-        batch_format="pyarrow",
-    )
-    n_blocks = tune_hash_shuffle(pre.context)
-    return pre.repartition(num_blocks=n_blocks, keys=["term_hash"]).map_batches(
-        _bind(_combine_term_stats, emit_text=emit_text),
-        batch_size=None,
-        batch_format="pyarrow",
-    )
 
 
 def top_k_by(

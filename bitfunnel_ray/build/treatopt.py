@@ -6,7 +6,7 @@ table from it (``src/Index/src/TreatmentOptimal.cpp`` Analyzer::Go /
 FindOptimalConfiguration, driven per IdfX10 by
 ``src/Index/src/TermTableBuilder.cpp:96-202``).  This engine stores
 exact posting lists, so the optimized degrees of freedom differ —
-per-band doc-delta CODEC {varint, pfor, ef} and WAND skip-block size —
+per-band doc-delta CODEC {varint, ef} and WAND skip-block size —
 but the discipline is the same: derive each frequency band's storage
 treatment from MEASURED data instead of hand-tuned defaults, under an
 explicit cost model.  Like the reference's treatments, the choice
@@ -50,17 +50,16 @@ import os
 import numpy as np
 import pyarrow.parquet as pq
 
-from bitfunnel_ray.functions import varint
+from bitfunnel_ray.build.encode import CODECS
 
 # relative decode cost per posting, normalized to varint=1.0 — MEASURED
 # on the dev box across list lengths 1k-200k and gap densities 8-100
-# (varint is this implementation's fastest vectorized decode; pfor pays
-# ~9-17x, ef ~1.6-3.9x in extra numpy passes).  Calibrate with
+# (varint is this implementation's fastest vectorized decode; ef pays
+# ~1.6-3.9x in extra numpy passes).  Calibrate with
 # measure_decode_costs() and pass the result in — the defaults keep the
 # default path deterministic.
-DECODE_REL_COST = {"varint": 1.0, "pfor": 12.0, "ef": 2.5}
+DECODE_REL_COST = {"varint": 1.0, "ef": 2.5}
 
-_CANDIDATE_CODECS = ("varint", "pfor", "ef")
 _BS_MIN, _BS_MAX = 64, 512
 
 
@@ -75,18 +74,6 @@ def suggest_block_size(df_typical: float) -> int:
     return int(2 ** round(np.log2(bs)))
 
 
-def _encoded_bytes(codec: str, deltas: np.ndarray) -> int:
-    if codec == "varint":
-        return int(varint.byte_lengths(deltas).sum())
-    if codec == "pfor":
-        from bitfunnel_ray.functions.pfor import encode_pfor
-
-        return len(encode_pfor(deltas))
-    from bitfunnel_ray.functions.ef import encode_ef
-
-    return len(encode_ef(deltas))
-
-
 def measure_decode_costs(
     n: int = 200_000, mean_gap: float = 8.0, seed: int = 0, repeats: int = 3
 ) -> dict:
@@ -95,28 +82,15 @@ def measure_decode_costs(
     inherently nondeterministic, which is why this is opt-in."""
     import time
 
-    from bitfunnel_ray.functions.ef import decode_ef, encode_ef
-    from bitfunnel_ray.functions.pfor import decode_pfor, encode_pfor
-
     rng = np.random.Generator(np.random.PCG64(seed))
     deltas = rng.geometric(1.0 / mean_gap, size=n).astype(np.uint64)
-    streams = {
-        "varint": varint.encode(deltas, varint.byte_lengths(deltas)),
-        "pfor": encode_pfor(deltas),
-        "ef": encode_ef(deltas),
-    }
-    decoders = {
-        "varint": lambda b: varint.decode(b, count=n),
-        "pfor": lambda b: decode_pfor(b, n),
-        "ef": lambda b: decode_ef(b, n),
-    }
     out = {}
-    for name, buf in streams.items():
-        buf = np.asarray(buf, dtype=np.uint8)
+    for name, codec in CODECS.items():
+        buf = codec.encode(deltas)
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            decoders[name](buf)
+            codec.decode(buf, n)
             best = min(best, time.perf_counter() - t0)
         out[name] = best
     base = out["varint"] or 1e-12
@@ -178,7 +152,7 @@ def _bands_from_samples(
         deltas = np.concatenate(samples[idf]) if samples[idf] else np.empty(0, np.uint64)
         n_post = max(1, int(len(deltas)))
         bytes_pp = {
-            c: _encoded_bytes(c, deltas) / n_post for c in _CANDIDATE_CODECS
+            name: len(c.encode(deltas)) / n_post for name, c in CODECS.items()
         }
         codec = _pick_codec(bytes_pp, query_weight, rel, min_gain)
         _n_chunks, df_typ = counts[idf]
@@ -210,7 +184,7 @@ def optimal_bands_for_segment(
     sample rows; pass 2 reads payload bytes for just the sampled rows,
     one row group at a time (parquet's pruning unit)."""
     from bitfunnel_ray.build import segment as seglib
-    from bitfunnel_ray.build.encode import CODEC_EF, CODEC_PFOR
+    from bitfunnel_ray.build.encode import decode_doc_deltas
 
     man = seglib.load_manifest(seg_dir)
     if man is None:
@@ -256,13 +230,8 @@ def optimal_bands_for_segment(
         has_codec = "codec" in pf.schema_arrow.names  # pre-codec segments
         cols = ["n_postings", "docs_payload"] + (["codec"] if has_codec else [])
         for g, local_rows in by_rg.items():
-            t = pf.read_row_group(g, columns=cols)
+            t = pf.read_row_group(g, columns=cols).take(local_rows)
             lens = t["n_postings"].to_numpy()
-            codecs = (
-                t["codec"].to_numpy(zero_copy_only=False)
-                if has_codec
-                else np.zeros(len(t), np.uint8)
-            )
             idf = np.clip(
                 np.round(
                     10.0 * np.log10(n_docs / np.maximum(lens.astype(np.float64), 1.0))
@@ -270,21 +239,9 @@ def optimal_bands_for_segment(
                 0,
                 60,
             ).astype(np.int64)
-            for j in local_rows:
-                buf = np.frombuffer(t["docs_payload"][j].as_py(), dtype=np.uint8)
-                n = int(lens[j])
-                cd = int(codecs[j])
-                if cd == CODEC_PFOR:
-                    from bitfunnel_ray.functions.pfor import decode_pfor
-
-                    deltas = decode_pfor(buf, n)
-                elif cd == CODEC_EF:
-                    from bitfunnel_ray.functions.ef import decode_ef
-
-                    deltas = decode_ef(buf, n)
-                else:
-                    deltas = varint.decode(buf, count=n)
-                fills[int(idf[j])].append(deltas.astype(np.uint64))
+            chunks = np.split(decode_doc_deltas(t), np.cumsum(lens)[:-1])
+            for band, deltas in zip(idf, chunks):
+                fills[int(band)].append(deltas)
     samples = fills
     counts = {
         b: (n_chunks[b], sum_len[b] / n_chunks[b]) for b in n_chunks

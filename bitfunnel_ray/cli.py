@@ -672,6 +672,7 @@ def repl_execute(eng, line: str, *, _depth: int = 0) -> str:
             return "usage: show term <text>"
         # `BitFunnel show term` analog (REPL.cpp / Environment command
         # set): resolve text → stored hash → dict rows across segments
+        from bitfunnel_ray.build.encode import CODECS
         from bitfunnel_ray.functions.hashing import murmur64a, ngram_hash
 
         toks = term.split()
@@ -691,6 +692,7 @@ def repl_execute(eng, line: str, *, _depth: int = 0) -> str:
             cf_col = s.dict["cf"]
             salt_col = s.dict["salt"]
             codec_col = s.dict["codec"] if "codec" in s.dict.column_names else None
+            codec_names = {c.id: name for name, c in CODECS.items()}
             for r in rows:
                 nbytes = sum(
                     len(s.dict[c][r].as_py())
@@ -699,7 +701,7 @@ def repl_execute(eng, line: str, *, _depth: int = 0) -> str:
                 out.append(
                     f"  seg {i} salt={salt_col[r].as_py()} "
                     f"df={np_col[r].as_py()} cf={cf_col[r].as_py()} "
-                    f"codec={ {0: 'varint', 1: 'pfor', 2: 'ef'}.get(codec_col[r].as_py() if codec_col is not None else 0, '?') } "
+                    f"codec={codec_names.get(codec_col[r].as_py() if codec_col is not None else 0, '?')} "
                     f"payload_bytes={nbytes}"
                 )
                 total_df += int(np_col[r].as_py())

@@ -33,14 +33,14 @@ class EngineConfig:
     # row policies; here a band picks the skip-block size AND the doc-delta
     # codec for its posting lists).  Tuple of
     # (df_upper_bound, block_size[, codec]) entries, ascending, with a
-    # final (None, ...) catch-all; codec ∈ {"varint", "pfor"} (default
-    # varint; pfor = patched bit-packing, functions/pfor.py — worth it for
-    # long/head lists where deltas are small and dense).  None disables
+    # final (None, ...) catch-all; codec ∈ {"varint", "ef"} (default
+    # varint; ef = Elias–Fano, functions/ef.py — worth it for long/head
+    # lists where deltas are small and dense).  None disables
     # banding (every chunk uses ``block_size`` + varint).  Block boundaries
     # are self-describing at query time (WAND looks blocks up by
     # searchsorted on last_docs) and the codec is a per-chunk dict column,
     # so bands change the storage plan, never the results.  Example:
-    #   ((256, 64), (65536, 128), (None, 256, "pfor"))
+    #   ((256, 64), (65536, 128), (None, 256, "ef"))
     treatment_bands: tuple | None = None
 
     # --- the build shuffle ---

@@ -1,6 +1,6 @@
-"""Elias–Fano encoding for posting-list doc-id deltas — the third
-selectable doc-delta codec beside LEB128 varint and PFor (see
-config.treatment_bands / build/encode.py).
+"""Elias–Fano encoding for posting-list doc-id deltas — the packed
+doc-delta codec beside LEB128 varint (see config.treatment_bands; the
+codec table and the one delta decoder live in build/encode.py).
 
 Elias–Fano stores a MONOTONE sequence v_0 <= ... <= v_{n-1} < u in
 n*ceil(log2(u/n)) low bits + ~2n high bits — within half a bit of the
@@ -18,8 +18,8 @@ Layout:
 
 ``l = max(0, floor(log2(u / n)))`` computed with integer bit_length (no
 float near 2^63).  Encode/decode are numpy packbits/unpackbits over bit
-matrices — no per-value python.  Like PFor, this codec is applied to
-the few, long head-band chunks; decode cost is two unpackbits + one
+matrices — no per-value python.  This codec is meant for the few, long
+head-band chunks; decode cost is two unpackbits + one
 flatnonzero, O(n + u >> l) = O(n) bits touched.
 """
 

@@ -136,31 +136,33 @@ FROM ({_tokens_sql()}) GROUP BY term
 """
 
 
+SQL_DF_ONLY_TABLE = f"""
+SELECT term, count(DISTINCT doc_id) AS df
+FROM ({_tokens_sql()}) GROUP BY term
+"""
+
+
 def q_fused_df_table(sf_dir):
     """Statistics FUSED into the build's tokenize/spill pass (the
     reference's own shape: statistics and ingestion are ONE corpus walk,
     tools/BitFunnel/src/StatisticsBuilder.cpp:114-187 drives both builders
-    from a single ChunkIngestor): build a segment with ``fused_stats_dir``
-    set, then finish the df table from the emitted partials — no second
-    corpus read.  Same oracle SQL as ``df_table`` proves the fused path
-    bit-identical to the standalone scan."""
+    from a single ChunkIngestor): build a segment with the vocab sidecar
+    and return its (term, df) stripes — no second corpus read.  The
+    df-only form of the ``df_table`` oracle SQL proves the sidecar
+    identical to the standalone scan."""
     import shutil as _sh
 
-    from bitfunnel_ray.build.stats import combine_fused_stats
+    from bitfunnel_ray.build.segment import VOCAB_SCHEMA
 
     tag = sf_dir.strip("/").replace("/", "_")
     idx_dir = f"/tmp/bfr_idx_cache/{tag}_fusedstats_idx"
-    stats_dir = f"/tmp/bfr_idx_cache/{tag}_fusedstats_parts"
     _sh.rmtree(idx_dir, ignore_errors=True)
-    _sh.rmtree(stats_dir, ignore_errors=True)
     os.makedirs("/tmp/bfr_idx_cache", exist_ok=True)
-    cfg = EngineConfig(
-        max_gram=1,
-        num_buckets=8,
-        extra={"fused_stats_dir": stats_dir, "stats_max_gram": 1},
-    )
+    cfg = EngineConfig(max_gram=1, num_buckets=8, extra={"vocab_sidecar": True})
     build_index(corpus_from_documents(sf_dir), idx_dir, cfg)
-    return combine_fused_stats(stats_dir).select_columns(["term", "df", "cf"])
+    return pq.read_table(
+        os.path.join(idx_dir, "vocab"), schema=VOCAB_SCHEMA, columns=["term", "df"]
+    )
 
 
 def q_doclen_histogram(sf_dir):
@@ -6160,7 +6162,7 @@ REGISTRY: dict[str, tuple] = {
     "regex_scan": (q_regex_scan, SQL_REGEX_SCAN),
     "embedding_exact_dups": (q_embedding_exact_dups, SQL_EMBEDDING_EXACT_DUPS),
     "df_table": (q_df_table, SQL_DF_TABLE),
-    "fused_df_table": (q_fused_df_table, SQL_DF_TABLE),
+    "fused_df_table": (q_fused_df_table, SQL_DF_ONLY_TABLE),
     "doclen_histogram": (q_doclen_histogram, SQL_DOCLEN_HISTOGRAM),
     "doc_meta": (q_doc_meta, SQL_DOC_META),
     "ingest_totals": (q_ingest_totals, SQL_INGEST_TOTALS),

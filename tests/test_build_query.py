@@ -254,37 +254,6 @@ def test_effective_num_buckets_scales_with_corpus():
     assert effective_num_buckets(off, FakeDs(2_000_000)) == 16
 
 
-def test_fused_stats_matches_standalone(built, tmp_path):
-    """StatisticsBuilder fusion: the df/cf partials emitted by the build's
-    own tokenize/spill pass combine to EXACTLY the standalone
-    document_frequency_table (same hashes, texts, df, cf)."""
-    from bitfunnel_ray.build.stats import combine_fused_stats, document_frequency_table
-
-    out, cfg, manifest, oracle = built
-    idx = str(tmp_path / "fused_idx")
-    stats_dir = str(tmp_path / "fused_stats")
-    corpus = corpus_from_documents("/root/testdata/sf0.001")
-    cfg2 = EngineConfig(
-        max_gram=2, num_buckets=5,
-        extra={"fused_stats_dir": stats_dir, "stats_max_gram": 1},
-    )
-    build_index(corpus, idx, cfg2)
-    fused = (
-        combine_fused_stats(stats_dir)
-        .to_pandas()
-        .sort_values(["term_hash", "gram_size"])
-        .reset_index(drop=True)
-    )
-    want = (
-        document_frequency_table(corpus, EngineConfig(max_gram=1), emit_text=True)
-        .to_pandas()
-        .sort_values(["term_hash", "gram_size"])
-        .reset_index(drop=True)
-    )
-    assert list(fused.columns) == list(want.columns)
-    assert fused.equals(want)
-
-
 def test_waves_build_identical_results(built, tmp_path):
     """Streaming wave segments (overlapped encode) must return the same
     match sets, ranks and bit-identical scores as one monolithic build."""

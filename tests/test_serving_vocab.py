@@ -89,20 +89,18 @@ def _assert_striped(seg_dir, nb):
         assert all(murmur64a(term) % nb == b for term in t["term"].to_pylist()), p
 
 
-@pytest.mark.parametrize("fused_stats", [False, True])
-def test_sidecar_equals_unigram_df_table(tmp_path, ray_session, sf_tiny, fused_stats):
+def test_sidecar_equals_unigram_df_table(tmp_path, ray_session, sf_tiny):
     """The sidecar holds exactly the unigram rows of the standalone df
-    table over the same corpus, striped by term bucket.  With a fused
-    statistics dir (bigram partials in the same spill) the stripes still
-    hold unigrams only."""
+    table over the same corpus, striped by term bucket.  The build
+    tokenizes bigrams too (max_gram=2); the stripes hold unigrams only."""
     from bitfunnel_ray.build.stats import document_frequency_table
 
     corpus = corpus_from_documents(sf_tiny)
-    extra = {"vocab_sidecar": True}
-    if fused_stats:
-        extra.update(fused_stats_dir=str(tmp_path / "stats"), stats_max_gram=2)
     seg = str(tmp_path / "seg")
-    build_index(corpus, seg, EngineConfig(max_gram=2, num_buckets=6, extra=extra))
+    build_index(
+        corpus, seg,
+        EngineConfig(max_gram=2, num_buckets=6, extra={"vocab_sidecar": True}),
+    )
     want = document_frequency_table(corpus, EngineConfig(max_gram=2)).to_pandas()
     want = want[want["gram_size"] == 1][["term", "df"]]
     want = want.sort_values("term").reset_index(drop=True)

@@ -60,7 +60,7 @@ def test_from_df_deterministic_and_shapes():
     assert a == b  # seeded synthesis: same df table → same bands
     assert a[-1][0] is None  # catch-all present
     for ub, bs, cd in a[:-1]:
-        assert isinstance(ub, int) and 64 <= bs <= 512 and cd in ("varint", "pfor", "ef")
+        assert isinstance(ub, int) and 64 <= bs <= 512 and cd in ("varint", "ef")
     # denser bands never get a SMALLER suggested block than sparser ones
     sizes = [b[1] for b in a]
     assert sizes == sorted(sizes)
