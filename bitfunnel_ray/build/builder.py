@@ -65,29 +65,6 @@ POSTINGS_SCHEMA = pa.schema(
 )
 
 
-def tune_hash_shuffle(ctx) -> int:
-    """Configure a dataset context for key-based hash exchanges and return
-    the partition count.  Measured on this Ray (2.49): aggregator actors
-    reserve whole CPUs by default and starve the map stages (or deadlock
-    outright when partitions >> CPUs); partitions ≈ CPUs/2 with a tiny
-    per-partition CPU reservation is ~5-10x faster (see BASELINE.md)."""
-    import ray as _ray
-    from ray.data.context import ShuffleStrategy
-
-    cpus = int(_ray.cluster_resources().get("CPU", 8))
-    n_blocks = max(2, min(32, cpus // 2))
-    # BFR_SHUFFLE_PARTS pins the exchange partition count independent of
-    # the CPU count (scaling runs: identical exchange layout at every
-    # cluster size — partitions are cheap at 0.05 cpu each)
-    if os.environ.get("BFR_SHUFFLE_PARTS"):
-        n_blocks = int(os.environ["BFR_SHUFFLE_PARTS"])
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ctx.default_hash_shuffle_parallelism = n_blocks
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.05
-    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.05
-    return n_blocks
-
-
 def assign_buckets(term_hash: np.ndarray, salt: np.ndarray, num_buckets: int) -> np.ndarray:
     """bucket = (term_hash ^ (salt * golden)) % B — salt spreads a head
     term's chunks across buckets; salt=0 keeps plain term_hash % B."""

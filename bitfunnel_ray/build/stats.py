@@ -114,13 +114,10 @@ def document_frequency_table(
     )
     from functools import partial as _bind
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
-    n_blocks = tune_hash_shuffle(partial.context)
-    return partial.repartition(num_blocks=n_blocks, keys=["term_hash"]).map_batches(
-        _bind(_combine_term_stats, emit_text=emit_text),
-        batch_size=None,
-        batch_format="pyarrow",
+    return exchange(
+        partial, ["term_hash"], _bind(_combine_term_stats, emit_text=emit_text)
     )
 
 

@@ -120,17 +120,12 @@ def aggregate_anchor_text(
     lexicographic order.  One hash exchange on the target id."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
-    n_parts = tune_hash_shuffle(links.context)
-    return (
-        links.select_columns([target_col, anchor_col])
-        .repartition(num_blocks=n_parts, keys=[target_col])
-        .map_batches(
-            partial(_agg_block, target_col=target_col, anchor_col=anchor_col),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
+    return exchange(
+        links.select_columns([target_col, anchor_col]),
+        [target_col],
+        partial(_agg_block, target_col=target_col, anchor_col=anchor_col),
     )
 
 
@@ -158,7 +153,7 @@ def anchor_corpus(
     schema-changing maps and kill the pyarrow join operator ("No match
     for FieldRef doc_id"); the tag maps here pin the transport schema
     and the block kernel guards empties."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     base = corpus.schema().base_schema
     key_type = base.field(doc_col).type
@@ -230,15 +225,9 @@ def anchor_corpus(
             )
         return left.cast(out_schema)
 
-    # always configure the hash-shuffle strategy (keyed repartition needs
-    # it), even when the caller pins the partition count
-    default_parts = tune_hash_shuffle(corpus.context)
-    n_parts = num_partitions or default_parts
     both = corpus.map_batches(tag_c, batch_format="pyarrow").union(
         anchors.select_columns([doc_col, anchor_text_col]).map_batches(
             tag_a, batch_format="pyarrow"
         )
     )
-    return both.repartition(num_blocks=n_parts, keys=[doc_col]).map_batches(
-        attach, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(both, [doc_col], attach, num_partitions=num_partitions)

@@ -206,19 +206,13 @@ def boilerplate_shingles(
     """Dataset(doc_id, text, source) → Table(source, shingle, n_docs,
     frac) of per-source boilerplate k-gram shingles, sorted (source,
     shingle).  See module doc for the two-pass layout."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
-    n_parts = tune_hash_shuffle(docs.context)
-    surv = (
-        docs.map_batches(partial(_count_partials, k=k), batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["source"])
-        .map_batches(
-            partial(_finish_counts, min_frac=min_frac, min_docs=min_docs),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
-        .take_all()
-    )
+    surv = exchange(
+        docs.map_batches(partial(_count_partials, k=k), batch_format="pyarrow"),
+        ["source"],
+        partial(_finish_counts, min_frac=min_frac, min_docs=min_docs),
+    ).take_all()
     surv_t = (
         pa.Table.from_pylist(surv, schema=_OUT_SCHEMA) if surv else _OUT_SCHEMA.empty_table()
     )

@@ -106,8 +106,9 @@ def token_budget_sample(
 ) -> "ray.data.Dataset":
     """→ (doc_id, grp, n_tokens, cum_tokens) for the doc_id-ordered prefix
     of each group whose running token total stays ≤ ``budget``."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
     from ray.data.aggregate import Max, Min
+
+    from bitfunnel_ray.ops.exchange import exchange
 
     slim = corpus.select_columns(["doc_id", group_col, "text"]).map_batches(
         partial(_slim_batch, group_col=group_col), batch_format="pyarrow"
@@ -134,7 +135,6 @@ def token_budget_sample(
         m = np.flatnonzero(codes == c)
         offs[m] = np.concatenate([[0], np.cumsum(tok[m])[:-1]])
     offsets_ref = ray.put((key, offs, langs.astype(str)))
-    n_blocks = tune_hash_shuffle(slim.context)
     slim = slim.map_batches(  # bucket column for the exchange key
         lambda t: t.append_column(
             "bucket",
@@ -142,9 +142,10 @@ def token_budget_sample(
         ),
         batch_format="pyarrow",
     )
-    out = slim.repartition(num_blocks=n_blocks, keys=["bucket"]).map_batches(
+    # whole partition: a bucket's rows must cumsum together
+    out = exchange(
+        slim,
+        ["bucket"],
         partial(_apply_budget, shift=shift, budget=budget, offsets_ref=offsets_ref),
-        batch_size=None,  # whole block: a bucket's rows must cumsum together
-        batch_format="pyarrow",
     )
     return out.drop_columns(["bucket"])

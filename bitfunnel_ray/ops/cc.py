@@ -167,7 +167,7 @@ def connected_components(
     final edge set IS the non-root assignment table)."""
     import ray.data as rd
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     e = edges.select_columns(list(cols)).rename_columns(["a", "b"])
 
@@ -181,21 +181,14 @@ def connected_components(
         )
 
     e = e.map_batches(norm, batch_format="pyarrow").materialize()
-    n_blocks = tune_hash_shuffle(e.context)
     prev = _edge_fingerprint(e)
     if prev[0] == 0:
         return rd.from_arrow(_empty_assign())
     for _ in range(max_rounds):
-        big = (
-            e.map_batches(_symmetrize, batch_format="pyarrow")
-            .repartition(num_blocks=n_blocks, keys=["a"])
-            .map_batches(_large_star_block, batch_size=None, batch_format="pyarrow")
+        big = exchange(
+            e.map_batches(_symmetrize, batch_format="pyarrow"), ["a"], _large_star_block
         )
-        e = (
-            big.repartition(num_blocks=n_blocks, keys=["a"])
-            .map_batches(_small_star_block, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
+        e = exchange(big, ["a"], _small_star_block).materialize()
         cur = _edge_fingerprint(e)
         if cur == prev:
             break
@@ -212,9 +205,7 @@ def connected_components(
         r = np.unique(t["b"].to_numpy(zero_copy_only=False))
         return pa.table({"a": pa.array(r), "b": pa.array(r)})
 
-    roots = e.repartition(num_blocks=n_blocks, keys=["b"]).map_batches(
-        root_rows, batch_size=None, batch_format="pyarrow"
-    )
+    roots = exchange(e, ["b"], root_rows)
     return e.union(roots).rename_columns(["node", "component"])
 
 

@@ -91,11 +91,9 @@ def duplicated_passages(
     Surviving hashes (boilerplate is FEW by nature) broadcast back for a
     second map-only pass that recovers one representative text each.
     Returns (chunk_text, n_docs, n_occurrences) sorted by text."""
-    from functools import partial as _bind
-
     import ray
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.stages.tokenize import hash_token_array
 
     chunks = chunk_documents(docs, window=window, stride=stride)
@@ -131,7 +129,6 @@ def duplicated_passages(
         )
 
     pairs = chunks.map_batches(pair_rows, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(pairs.context)
 
     def per_hash(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -160,9 +157,7 @@ def duplicated_passages(
             }
         )
 
-    stats = pairs.repartition(num_blocks=n_blocks, keys=["h"]).map_batches(
-        per_hash, batch_size=None, batch_format="pyarrow"
-    )
+    stats = exchange(pairs, ["h"], per_hash)
     tables = [x for x in ray.get(stats.to_arrow_refs()) if len(x)]
     empty_out = pa.table(
         {

@@ -101,15 +101,12 @@ def _dedup_user_weeks(t: pa.Table) -> pa.Table:
 def cohort_retention(events: "ray.data.Dataset") -> pa.Table:
     """Retention matrix (cohort_week_us, week_offset, n_users) sorted by
     (cohort, offset).  ``events`` needs ``user_id`` and ``ts``."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     slim = events.select_columns(["user_id", "ts"]).map_batches(
         _dedup_user_weeks, batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(slim.context)
-    parts = slim.repartition(num_blocks=n_blocks, keys=["user_id"]).map_batches(
-        _cohort_block, batch_size=None, batch_format="pyarrow"
-    )
+    parts = exchange(slim, ["user_id"], _cohort_block)
     tables = [x for x in ray.get(parts.to_arrow_refs()) if len(x)]
     if not tables:
         return pa.table(
@@ -196,17 +193,12 @@ def rolling_active_users(
     calendar-sized rows.  Returns (day_us, n_users) sorted by day."""
     from functools import partial as _bind
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     slim = events.select_columns(["user_id", "ts"]).map_batches(
         _dedup_user_days, batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(slim.context)
-    parts = slim.repartition(num_blocks=n_blocks, keys=["user_id"]).map_batches(
-        _bind(_wau_block, window_days=window_days),
-        batch_size=None,
-        batch_format="pyarrow",
-    )
+    parts = exchange(slim, ["user_id"], _bind(_wau_block, window_days=window_days))
     tables = [x for x in ray.get(parts.to_arrow_refs()) if len(x)]
     if not tables:
         return pa.table(

@@ -274,17 +274,12 @@ def _band_pairs(band_rows: "ray.data.Dataset", max_group: int) -> "ray.data.Data
     exchange on the pair itself dedups pairs surfaced by multiple bands."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
-    n_blocks = tune_hash_shuffle(band_rows.context)
-    pairs = band_rows.repartition(num_blocks=n_blocks, keys=["band_id", "band_key"]).map_batches(
-        partial(_pairs_from_block, max_group=max_group),
-        batch_size=None,
-        batch_format="pyarrow",
+    pairs = exchange(
+        band_rows, ["band_id", "band_key"], partial(_pairs_from_block, max_group=max_group)
     )
-    return pairs.repartition(num_blocks=n_blocks, keys=["doc_a", "doc_b"]).map_batches(
-        _dedup_pairs_block, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(pairs, ["doc_a", "doc_b"], _dedup_pairs_block)
 
 
 def minhash_candidates(
@@ -455,14 +450,10 @@ def _payload_join(
 ) -> "ray.data.Dataset":
     """Distributed pair-keyed join: explode pairs to one row per side,
     hash-exchange together with payload rows on doc_id (attach), then on
-    (doc_a, doc_b) (reduce) — no driver gather, no coverage cap.  The
-    ``.materialize()`` barriers keep the compute kernels in task-pool
-    operators instead of fusing into the low-CPU shuffle aggregators.
+    (doc_a, doc_b) (reduce) — no driver gather, no coverage cap.
 
     ``payload_rows`` schema: (doc_id int64, payload list<int64>)."""
-    from functools import partial as _p
-
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def as_carrier(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -496,18 +487,8 @@ def _payload_join(
     pair_rows = pairs.select_columns(["doc_a", "doc_b"]).map_batches(
         explode, batch_format="pyarrow"
     )
-    unioned = carriers.union(pair_rows)
-    n_blocks = tune_hash_shuffle(unioned.context)
-    attached = (
-        unioned.repartition(num_blocks=n_blocks, keys=["doc_id"])
-        .materialize()
-        .map_batches(_attach_payload, batch_size=None, batch_format="pyarrow")
-    )
-    return (
-        attached.repartition(num_blocks=n_blocks, keys=["doc_a", "doc_b"])
-        .materialize()
-        .map_batches(reducer, batch_size=None, batch_format="pyarrow")
-    )
+    attached = exchange(carriers.union(pair_rows), ["doc_id"], _attach_payload)
+    return exchange(attached, ["doc_a", "doc_b"], reducer)
 
 
 def shingle_rows(
@@ -993,7 +974,7 @@ def minhash_cross_candidates(
     ignored for banding when given."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     if new_band_rows is None:
         new_band_rows = new.select_columns(["doc_id", "text"]).map_batches(
@@ -1006,17 +987,12 @@ def minhash_cross_candidates(
         .map_batches(MinhashBands(k, bands), batch_format="pyarrow")
         .map_batches(_with_side(0), batch_format="pyarrow")
     )
-    n_blocks = tune_hash_shuffle(band_rows.context)
-    pairs = band_rows.repartition(
-        num_blocks=n_blocks, keys=["band_id", "band_key"]
-    ).map_batches(
+    pairs = exchange(
+        band_rows,
+        ["band_id", "band_key"],
         partial(_pairs_from_block, max_group=max_group, cross=True),
-        batch_size=None,
-        batch_format="pyarrow",
     )
-    return pairs.repartition(num_blocks=n_blocks, keys=["doc_a", "doc_b"]).map_batches(
-        _dedup_pairs_block, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(pairs, ["doc_a", "doc_b"], _dedup_pairs_block)
 
 
 def minhash_cross_dedup(
@@ -1262,7 +1238,7 @@ def embedding_dup_pairs(
 
     from ray.data.aggregate import Max
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     rng = np.random.default_rng(seed)
     first = embeddings.take(1)[0]
@@ -1288,11 +1264,10 @@ def embedding_dup_pairs(
         )
 
     bucketed = embeddings.map_batches(bucket, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(bucketed.context)
-    pairs = bucketed.repartition(num_blocks=n_blocks, keys=["bucket"]).map_batches(
+    pairs = exchange(
+        bucketed,
+        ["bucket"],
         partial(_bucket_pairs_block, threshold=threshold, max_group=max_group),
-        batch_size=None,
-        batch_format="pyarrow",
     )
     # identical pair may surface from multiple... no: one bucket per vector
     # (single hash table), so pairs are already distinct; keep a cheap
@@ -1528,31 +1503,19 @@ def ngram_jaccard_pairs(
     sf-scale deterministic-Table twin for tests/audits."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     rows = corpus.select_columns(["doc_id", "text"]).map_batches(
         partial(_shingle_doc_rows, k=k), batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(rows.context)
-    mixed = (
-        rows.repartition(num_blocks=n_blocks, keys=["shingle"])
-        .map_batches(
-            partial(_jaccard_pairs_and_sizes_block, max_df=max_df),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-    sizes = (
-        mixed.filter(expr="doc_a < 0")
-        .repartition(num_blocks=n_blocks, keys=["doc_id"])
-        .map_batches(_combine_doc_sizes, batch_size=None, batch_format="pyarrow")
-    )
-    inter = (
-        mixed.filter(expr="doc_a >= 0")
-        .select_columns(["doc_a", "doc_b"])
-        .repartition(num_blocks=n_blocks, keys=["doc_a", "doc_b"])
-        .map_batches(_dedup_pairs_block, batch_size=None, batch_format="pyarrow")
+    mixed = exchange(
+        rows, ["shingle"], partial(_jaccard_pairs_and_sizes_block, max_df=max_df)
+    ).materialize()
+    sizes = exchange(mixed.filter(expr="doc_a < 0"), ["doc_id"], _combine_doc_sizes)
+    inter = exchange(
+        mixed.filter(expr="doc_a >= 0").select_columns(["doc_a", "doc_b"]),
+        ["doc_a", "doc_b"],
+        _dedup_pairs_block,
     )
 
     def size_carrier(t: pa.Table) -> pa.Table:
@@ -1585,17 +1548,9 @@ def ngram_jaccard_pairs(
     unioned = sizes.map_batches(size_carrier, batch_format="pyarrow").union(
         inter.map_batches(explode_pairs, batch_format="pyarrow")
     )
-    return (
-        unioned.repartition(num_blocks=n_blocks, keys=["doc_id"])
-        .materialize()
-        .map_batches(_attach_sizes_block, batch_size=None, batch_format="pyarrow")
-        .repartition(num_blocks=n_blocks, keys=["doc_a", "doc_b"])
-        .materialize()
-        .map_batches(
-            partial(_reduce_ngram_jaccard, threshold=threshold),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
+    attached = exchange(unioned, ["doc_id"], _attach_sizes_block)
+    return exchange(
+        attached, ["doc_a", "doc_b"], partial(_reduce_ngram_jaccard, threshold=threshold)
     )
 
 

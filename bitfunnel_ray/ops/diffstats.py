@@ -32,7 +32,7 @@ def corpus_diff(
 ) -> "ray.data.Dataset":
     """(doc_id, status) for every differing doc: 'added' (only in new),
     'removed' (only in old), 'changed' (both, text differs)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def tag(which: str):
         def f(t: pa.Table) -> pa.Table:
@@ -53,7 +53,6 @@ def corpus_diff(
             tag("new"), batch_format="pyarrow"
         )
     )
-    n_blocks = tune_hash_shuffle(both.context)
 
     def diff_block(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -96,9 +95,7 @@ def corpus_diff(
             }
         )
 
-    return both.repartition(num_blocks=n_blocks, keys=[id_col]).map_batches(
-        diff_block, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(both, [id_col], diff_block)
 
 
 def _drift_join_block(t: pa.Table) -> pa.Table:
@@ -141,9 +138,9 @@ def drift_terms(
     fixed expression of two exact ints — bit-stable for the oracle hash,
     and the top-k order uses the ROUNDED value so last-ulp libm
     differences cannot reorder ties."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
     from bitfunnel_ray.build.stats import document_frequency_table, top_k_by
     from bitfunnel_ray.config import EngineConfig
+    from bitfunnel_ray.ops.exchange import exchange
 
     cfg = EngineConfig(max_gram=1)
 
@@ -162,10 +159,7 @@ def drift_terms(
         ).map_batches(f, batch_format="pyarrow")
 
     both = tagged(corpus_p, "p").union(tagged(corpus_q, "q"))
-    n_blocks = tune_hash_shuffle(both.context)
-    joined = both.repartition(num_blocks=n_blocks, keys=["term"]).map_batches(
-        _drift_join_block, batch_format="pyarrow", batch_size=None
-    ).materialize()  # consumed 3x (two scalar aggs + the drift map)
+    joined = exchange(both, ["term"], _drift_join_block).materialize()  # consumed 3x (two scalar aggs + the drift map)
     vocab_n = joined.count()
     sums = joined.sum(["cp", "cq"])
     np_tot = int(sums["sum(cp)"]) + vocab_n

@@ -76,7 +76,7 @@ def funnel(
     ``target`` event within ``window_us`` (strictly after, inclusive
     window end): (user_id, trigger_ts_us, target_ts_us of the FIRST such
     target).  Streams; rows per user ≤ 1."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     keep_types = (trigger, target)
 
@@ -88,9 +88,8 @@ def funnel(
     slim = events.select_columns(["user_id", "ts", "event_type"]).map_batches(
         prefilter, batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(slim.context)
-    return slim.repartition(num_blocks=n_blocks, keys=["user_id"]).map_batches(
+    return exchange(
+        slim,
+        ["user_id"],
         partial(_funnel_block, trigger=trigger, target=target, window_us=window_us),
-        batch_size=None,
-        batch_format="pyarrow",
     )

@@ -167,7 +167,7 @@ def degree_table(edges):
     universe appearing in the edge set.  Map-side partial counts per
     block (np.unique, fixed-width rows), then ONE hash exchange sized
     by distinct nodes — never the edge multiset."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def partials(t: pa.Table) -> pa.Table:
         src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -186,15 +186,10 @@ def degree_table(edges):
             }
         )
 
-    n_parts = tune_hash_shuffle(edges.context)
-    return (
-        edges.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["node"])
-        .map_batches(
-            _seg_sum_by("node", ("outdeg", "indeg")),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
+    return exchange(
+        edges.map_batches(partials, batch_format="pyarrow"),
+        ["node"],
+        _seg_sum_by("node", ("outdeg", "indeg")),
     )
 
 
@@ -212,9 +207,7 @@ def label_propagation(edges, *, n_rounds: int = 4):
     Per round: ONE hash exchange routes each edge endpoint's label to
     the other endpoint, then a per-block (node, label) histogram argmax
     — (node, label, count) never leaves the block unaggregated."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
-
-    n_parts = tune_hash_shuffle(edges.context)
+    from bitfunnel_ray.ops.exchange import exchange
 
     def undirected(t: pa.Table) -> pa.Table:
         src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -241,9 +234,7 @@ def label_propagation(edges, *, n_rounds: int = 4):
         return pa.table({"node": pa.array(vals, pa.int64())})
 
     state = (
-        und.map_batches(uniq_block, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["node"])
-        .map_batches(_uniq_finish, batch_size=None, batch_format="pyarrow")
+        exchange(und.map_batches(uniq_block, batch_format="pyarrow"), ["node"], _uniq_finish)
         .map_batches(
             lambda t: pa.table(
                 {
@@ -357,17 +348,7 @@ def label_propagation(edges, *, n_rounds: int = 4):
         )
 
     for _ in range(n_rounds):
-        stream = (
-            state.map_batches(_tag_state, batch_format="pyarrow")
-            .union(und)
-            .repartition(num_blocks=n_parts, keys=["key"])
-        )
-        state = (
-            stream.map_batches(vote_block, batch_size=None, batch_format="pyarrow")
-            .repartition(num_blocks=n_parts, keys=["dst"])
-            .map_batches(argmax_block, batch_size=None, batch_format="pyarrow")
-            .materialize()
-        )
+        state = _propagate(state, und, vote_block, argmax_block).materialize()
 
     return state.map_batches(
         lambda t: pa.table({"node": t["node"], "label": t["rank"]}),
@@ -390,9 +371,8 @@ def bfs_depth(edges, seed_mod: int, *, n_rounds: int = 8):
     (min-plus semiring) instead of a sum — the kernels differ, the
     shuffle shape doesn't.  Min is idempotent and commutative, so the
     result is layout-independent and exact."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
-    n_parts = tune_hash_shuffle(edges.context)
     tagged_edges = edges.map_batches(_tag_edges, batch_format="pyarrow").materialize()
 
     def uniq_from_tagged(t: pa.Table) -> pa.Table:
@@ -409,9 +389,11 @@ def bfs_depth(edges, seed_mod: int, *, n_rounds: int = 8):
         return pa.table({"node": pa.array(np.unique(vals), pa.int64())})
 
     state = (
-        tagged_edges.map_batches(uniq_from_tagged, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["node"])
-        .map_batches(_uniq_finish, batch_size=None, batch_format="pyarrow")
+        exchange(
+            tagged_edges.map_batches(uniq_from_tagged, batch_format="pyarrow"),
+            ["node"],
+            _uniq_finish,
+        )
         .map_batches(
             lambda t: pa.table(
                 {
@@ -502,21 +484,9 @@ def bfs_depth(edges, seed_mod: int, *, n_rounds: int = 8):
 
     acc = _new_acc()
     for it in range(n_rounds):
-        stream = (
-            state.map_batches(_tag_state, batch_format="pyarrow")
-            .union(tagged_edges)
-            .repartition(num_blocks=n_parts, keys=["key"])
-        )
-        state = (
-            stream.map_batches(relax_block, batch_size=None, batch_format="pyarrow")
-            .repartition(num_blocks=n_parts, keys=["dst"])
-            .map_batches(
-                _partial(min_block, acc=acc, it=it),
-                batch_size=None,
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        state = _propagate(
+            state, tagged_edges, relax_block, _partial(min_block, acc=acc, it=it)
+        ).materialize()
         if _ray.get(acc.total.remote(it)) == 0:
             break
 
@@ -537,7 +507,7 @@ def reciprocal_links(edges):
     Map-side partial counts keyed on the unordered pair, ONE hash
     exchange on (a, b), segmented finish keeps pairs with both
     directions present."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     out_schema = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()),
@@ -598,12 +568,7 @@ def reciprocal_links(edges):
             schema=out_schema,
         )
 
-    n_parts = tune_hash_shuffle(edges.context)
-    return (
-        edges.map_batches(partials, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["a", "b"])
-        .map_batches(finish, batch_size=None, batch_format="pyarrow")
-    )
+    return exchange(edges.map_batches(partials, batch_format="pyarrow"), ["a", "b"], finish)
 
 
 def inlink_concentration(links, *, src_host_col: str = "src_host",
@@ -618,7 +583,7 @@ def inlink_concentration(links, *, src_host_col: str = "src_host",
     the target, then a two-level segmented reduce (re-aggregate split
     partials by (dst, host), then per-dst max and sum).  The share is a
     single IEEE division of two exact ints, so results hash-compare."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     out_schema = pa.schema(
         [
@@ -670,12 +635,12 @@ def inlink_concentration(links, *, src_host_col: str = "src_host",
             schema=out_schema,
         )
 
-    n_parts = tune_hash_shuffle(links.context)
-    return (
-        links.select_columns([src_host_col, dst_col])
-        .map_batches(partials, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["dst"])
-        .map_batches(finish, batch_size=None, batch_format="pyarrow")
+    return exchange(
+        links.select_columns([src_host_col, dst_col]).map_batches(
+            partials, batch_format="pyarrow"
+        ),
+        ["dst"],
+        finish,
     )
 
 
@@ -687,8 +652,9 @@ def resolve_redirects(redirects, *, max_rounds: int = 16):
     64-hop chain resolves in 6 distributed joins instead of 64 — the
     difference between feasible and not on a crawl-scale redirect set.
 
-    Each round is ONE distributed left-outer hash join (state.final
-    against the state's own src) + a vectorized coalesce; the state is
+    Each round is ONE co-partitioned left-outer join (ops/joins.py
+    ``left_join_cp``: state.final against the state's own src) + a
+    vectorized coalesce; the state is
     materialized per round (O(|map|); the round count is
     ceil(log2(longest chain)), early-stopped at the first fixpoint).
     ``resolved`` is False for rows still moving after ``max_rounds``
@@ -700,9 +666,21 @@ def resolve_redirects(redirects, *, max_rounds: int = 16):
     independently (two output rows for that src)."""
     import ray.data as rd
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.joins import left_join_cp
 
-    n_parts = tune_hash_shuffle(redirects.context)
+    i64 = pa.int64()
+
+    def lookup(state, col: str, value):
+        """state left-joined on final == src against a (src → col) map
+        of the state itself: col is null where final is not a src."""
+        rhs = state.map_batches(
+            lambda t: pa.table({"final": t["src"], col: value(t)}), batch_format="pyarrow"
+        )
+        return left_join_cp(
+            state, rhs, key="final",
+            left_schema=pa.schema([("src", i64), ("final", i64)]),
+            right_schema=pa.schema([("final", i64), (col, i64)]),
+        )
 
     state = redirects.map_batches(
         lambda t: pa.table(
@@ -722,13 +700,7 @@ def resolve_redirects(redirects, *, max_rounds: int = 16):
             )
         )
     for _ in range(max_rounds):
-        hop = state.map_batches(
-            lambda t: pa.table({"jsrc": t["src"], "jdst": t["final"]}),
-            batch_format="pyarrow",
-        )
-        joined = state.join(
-            hop, "left_outer", num_partitions=n_parts, on=("final",), right_on=("jsrc",)
-        )
+        joined = lookup(state, "jdst", lambda t: t["final"])
 
         def advance(t: pa.Table) -> pa.Table:
             moved = pc.and_kleene(
@@ -756,13 +728,7 @@ def resolve_redirects(redirects, *, max_rounds: int = 16):
 
     # resolved ⇔ final is not itself a redirect source (cycle members
     # and chains into cycles keep a src as their final after max_rounds)
-    keyed = state.map_batches(
-        lambda t: pa.table({"jsrc": t["src"], "marker": pa.array(np.ones(len(t), np.int8))}),
-        batch_format="pyarrow",
-    )
-    out = state.join(
-        keyed, "left_outer", num_partitions=n_parts, on=("final",), right_on=("jsrc",)
-    )
+    out = lookup(state, "marker", lambda t: pa.array(np.ones(len(t), np.int64)))
     return out.map_batches(
         lambda t: pa.table(
             {
@@ -1025,28 +991,27 @@ def _tag_edges_directed(edges, *, reverse: bool):
     return edges.map_batches(tag, batch_format="pyarrow")
 
 
-def _propagate(state, tagged_edges, *, n_parts: int, acc=None, it: int = 0):
-    """One distributed value propagation along pre-tagged edges:
-    Dataset(node, rank) → Dataset(node, rank=sum of incoming values).
-    The node universe is preserved (zero rows for nodes with no inflow).
-    Two hash exchanges, same layout contract as pagerank.  When ``acc``
-    is given, each sum block side-puts its Σ rank partial so the caller
-    reads the global total without a separate pass (HITS normalize)."""
-    from functools import partial as _partial
+def _propagate(state, tagged_edges, send, receive):
+    """One synchronous round of the tag-union layout every iterative
+    graph kernel here shares: the node state rides the pre-tagged edge
+    stream through one exchange on the source (``send`` turns each
+    node's value into per-edge messages), and the messages through a
+    second exchange on the destination (``receive`` folds them into the
+    next state)."""
+    from bitfunnel_ray.ops.exchange import exchange
 
-    stream = (
-        state.map_batches(_tag_state, batch_format="pyarrow")
-        .union(tagged_edges)
-        .repartition(num_blocks=n_parts, keys=["key"])
-    )
-    return (
-        stream.map_batches(_prop_contrib_block, batch_size=None, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["dst"])
-        .map_batches(
-            _partial(_prop_sum_block, acc=acc, it=it),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
+    stream = state.map_batches(_tag_state, batch_format="pyarrow").union(tagged_edges)
+    return exchange(exchange(stream, ["key"], send), ["dst"], receive)
+
+
+def _out_degrees(tagged_edges):
+    """Dataset(node, deg) over the tagged edge stream's node universe."""
+    from bitfunnel_ray.ops.exchange import exchange
+
+    return exchange(
+        tagged_edges.map_batches(_deg_partials_tagged, batch_format="pyarrow"),
+        ["node"],
+        _seg_sum_by("node", ("deg",)),
     )
 
 
@@ -1080,17 +1045,9 @@ def trustrank(
     starting from rank_0 = scale//|S| on seeds, 0 elsewhere."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
-
-    n_parts = tune_hash_shuffle(edges.context)
     tagged_edges = edges.map_batches(_tag_edges, batch_format="pyarrow").materialize()
 
-    deg = (
-        tagged_edges.map_batches(_deg_partials_tagged, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["node"])
-        .map_batches(_seg_sum_by("node", ("deg",)), batch_size=None, batch_format="pyarrow")
-        .materialize()
-    )
+    deg = _out_degrees(tagged_edges).materialize()
     n_seeds = int(
         sum(
             r["s"]
@@ -1146,24 +1103,13 @@ def trustrank(
     dangling = _scalar_sum_where_zero_outdeg(state)
     for it in range(n_iter):
         dang = (dangling * damping_num) // damping_den // n_seeds
-        stream = (
-            state.map_batches(_tag_state, batch_format="pyarrow")
-            .union(tagged_edges)
-            .repartition(num_blocks=n_parts, keys=["key"])
-        )
-        contribs = stream.map_batches(
-            _contrib_block, batch_size=None, batch_format="pyarrow"
-        )
-        state = (
-            contribs.repartition(num_blocks=n_parts, keys=["dst"])
-            .map_batches(
-                partial(update_trust, base=base, dang=dang,
-                        num=damping_num, den=damping_den, acc=acc, it=it),
-                batch_size=None,
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        state = _propagate(
+            state,
+            tagged_edges,
+            _contrib_block,
+            partial(update_trust, base=base, dang=dang,
+                    num=damping_num, den=damping_den, acc=acc, it=it),
+        ).materialize()
         if it + 1 < n_iter:
             dangling = _ray.get(acc.total.remote(it))
     return state.select_columns(["node", "rank"])
@@ -1186,9 +1132,9 @@ def hits(edges, *, n_iter: int = 2, scale: int = 10**6):
     average degree ~9e6.  Per iteration: 2 propagations x 2 exchanges +
     2 scalar aggregates; edges never collected.
     """
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from functools import partial
 
-    n_parts = tune_hash_shuffle(edges.context)
+    from bitfunnel_ray.ops.exchange import exchange
 
     # tag + materialize the forward stream ONCE; the reverse stream and
     # the node universe both derive from it (upstream executes once)
@@ -1217,11 +1163,7 @@ def hits(edges, *, n_iter: int = 2, scale: int = 10**6):
         ) if len(t) else np.array([], np.int64)
         return pa.table({"node": pa.array(np.unique(vals), pa.int64())})
 
-    node_col = (
-        fwd.map_batches(uniq_block, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["node"])
-        .map_batches(_uniq_finish, batch_size=None, batch_format="pyarrow")
-    )
+    node_col = exchange(fwd.map_batches(uniq_block, batch_format="pyarrow"), ["node"], _uniq_finish)
     z64 = lambda t: pa.array(np.zeros(len(t), np.int64))  # noqa: E731
     h = node_col.map_batches(
         lambda t: pa.table(
@@ -1265,12 +1207,19 @@ def hits(edges, *, n_iter: int = 2, scale: int = 10**6):
     import ray as _ray
 
     acc = _new_acc()
+
+    def hop(state, tagged, it):
+        # each sum block side-puts its Σ rank partial, so normalizing
+        # needs no separate pass over the sums
+        raw = _propagate(
+            state, tagged, _prop_contrib_block, partial(_prop_sum_block, acc=acc, it=it)
+        ).materialize()
+        return normalize(raw, _ray.get(acc.total.remote(it)))
+
     a = None
     for i in range(n_iter):
-        raw = _propagate(h, fwd, n_parts=n_parts, acc=acc, it=2 * i).materialize()
-        a = normalize(raw, _ray.get(acc.total.remote(2 * i)))
-        raw = _propagate(a, rev, n_parts=n_parts, acc=acc, it=2 * i + 1).materialize()
-        h = normalize(raw, _ray.get(acc.total.remote(2 * i + 1)))
+        a = hop(h, fwd, 2 * i)
+        h = hop(a, rev, 2 * i + 1)
 
     hub = h.map_batches(
         lambda t: pa.table({"node": t["node"], "hub": t["rank"]}),
@@ -1284,7 +1233,7 @@ def hits(edges, *, n_iter: int = 2, scale: int = 10**6):
 
     # engine's co-partitioned join (not Dataset.join — it dies on the
     # zero-column empty blocks an empty shuffle partition emits upstream)
-    return inner_join_cp(hub, auth, key="node", num_partitions=max(2, n_parts // 2))
+    return inner_join_cp(hub, auth, key="node")
 
 
 class _ScalarParts:
@@ -1371,20 +1320,12 @@ def pagerank(
     """
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
-
-    n_parts = tune_hash_shuffle(edges.context)
     # tag + materialize the edge stream ONCE and derive everything else
     # from it (degrees, every iteration's shuffle input) — the upstream
     # edge pipeline executes exactly once per pagerank call
     tagged_edges = edges.map_batches(_tag_edges, batch_format="pyarrow").materialize()
 
-    deg = (
-        tagged_edges.map_batches(_deg_partials_tagged, batch_format="pyarrow")
-        .repartition(num_blocks=n_parts, keys=["node"])
-        .map_batches(_seg_sum_by("node", ("deg",)), batch_size=None, batch_format="pyarrow")
-    )
-    state = deg.map_batches(
+    state = _out_degrees(tagged_edges).map_batches(
         lambda t: pa.table(
             {
                 "node": t["node"],
@@ -1416,31 +1357,13 @@ def pagerank(
     dangling = _scalar_sum_where_zero_outdeg(state)
     for it in range(n_iter):
         dang = (dangling * damping_num) // damping_den // n_nodes
-        stream = (
-            state.map_batches(_tag_state, batch_format="pyarrow")
-            .union(tagged_edges)
-            .repartition(num_blocks=n_parts, keys=["key"])
-        )
-        contribs = stream.map_batches(
-            _contrib_block, batch_size=None, batch_format="pyarrow"
-        )
-        state = (
-            contribs.repartition(num_blocks=n_parts, keys=["dst"])
-            .map_batches(
-                partial(
-                    _update_block,
-                    base=base,
-                    dang=dang,
-                    num=damping_num,
-                    den=damping_den,
-                    acc=acc,
-                    it=it,
-                ),
-                batch_size=None,
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        state = _propagate(
+            state,
+            tagged_edges,
+            _contrib_block,
+            partial(_update_block, base=base, dang=dang,
+                    num=damping_num, den=damping_den, acc=acc, it=it),
+        ).materialize()
         if it + 1 < n_iter:
             dangling = _ray.get(acc.total.remote(it))
     return state.select_columns(["node", "rank"])

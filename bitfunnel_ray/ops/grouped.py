@@ -62,17 +62,13 @@ def top_k_per_group(
     tiebreak ASC) <= k, as a map-side-pruned exchange."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     kern = partial(
         _topk_block, group_col=group_col, key=None, k=k,
         order_col=order_col, descending=descending, tiebreak_col=tiebreak_col,
     )
-    pruned = ds.map_batches(kern, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(pruned.context)
-    return pruned.repartition(num_blocks=n_blocks, keys=[group_col]).map_batches(
-        kern, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(ds.map_batches(kern, batch_format="pyarrow"), [group_col], kern)
 
 
 def stratified_sample(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _ASOF_SCHEMA = pa.schema(
     [
@@ -77,7 +78,7 @@ def asof_join(
     ``right.ts <= left.ts``; ties on ts broken by largest ``id_col``.
     Returns (key, left_id, left_ts_us, right_id, right_ts_us); left rows
     with no matching right row are dropped (inner as-of)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def prep(tag: int):
         def f(t: pa.Table) -> pa.Table:
@@ -98,10 +99,7 @@ def asof_join(
         .map_batches(prep(0), batch_format="pyarrow")
         .union(left.select_columns(cols).map_batches(prep(1), batch_format="pyarrow"))
     )
-    n_blocks = tune_hash_shuffle(both.context)
-    return both.repartition(num_blocks=n_blocks, keys=["key"]).map_batches(
-        _asof_block, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(both, ["key"], _asof_block)
 
 
 class _BlocklistFilter:
@@ -164,7 +162,7 @@ def anti_join(
             batch_format="pyarrow",
         )
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     big_schema = big.schema().base_schema  # pyarrow schema
 
@@ -195,10 +193,7 @@ def anti_join(
     both = big.map_batches(tag(1), batch_format="pyarrow").union(
         blocklist.select_columns([key]).map_batches(tag(0), batch_format="pyarrow")
     )
-    n_blocks = tune_hash_shuffle(both.context)
-    return both.repartition(num_blocks=n_blocks, keys=[key]).map_batches(
-        drop_blocked, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(both, [key], drop_blocked)
 
 
 class _DimLookup:
@@ -338,7 +333,7 @@ def range_join(
     on ``key``, then a vectorized forward-fill sweep per block — no
     per-row python, no driver gather.  → (key, left_id, ts_us, iv_id).
     """
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def prep_points(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -371,52 +366,116 @@ def range_join(
             )
         )
     )
-    n_blocks = tune_hash_shuffle(both.context)
-    return both.repartition(num_blocks=n_blocks, keys=["key"]).map_batches(
-        _range_block, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(both, ["key"], _range_block)
 
 
 def _cp_join_block(
-    t: pa.Table, *, key: str, lnames: tuple, rnames: tuple, out_schema: pa.Schema
+    t: pa.Table, *, key: str, lnames: tuple, rnames: tuple, out_schema: pa.Schema, how: str
 ) -> pa.Table:
-    """Inner equi-join within one key-partitioned block: side-1 (left)
-    rows × side-0 (right) rows → full many-to-many match per key.
+    """Equi-join within one key-partitioned block: side-1 (left) rows ×
+    side-0 (right) rows → full many-to-many match per key; ``how="left"``
+    also keeps every unmatched left row once, right payload null.
     Vectorized: sort the right side's keys, locate each left row's match
     range with two searchsorteds, expand with the arange-minus-offsets
-    trick; payload columns ride along via Arrow ``take``.  Guards the
-    zero-column empty blocks Ray 2.49 lets through skipped maps."""
+    trick; payload columns ride along via Arrow ``take`` (a null index
+    takes a null).  Guards the zero-column empty blocks Ray 2.49 lets
+    through skipped maps."""
     if len(t) == 0 or "_side" not in t.column_names:
         return out_schema.empty_table()
-    side = t["_side"].to_numpy(zero_copy_only=False)
-    kv = t[key].to_numpy(zero_copy_only=False)
-    is_l = side == 1
-    lk, rk = kv[is_l], kv[~is_l]
-    if not len(lk) or not len(rk):
-        return out_schema.empty_table()
+    is_l = t["_side"].to_numpy(zero_copy_only=False) == 1
     lt = t.filter(pa.array(is_l)).combine_chunks()
     rt = t.filter(pa.array(~is_l)).combine_chunks()
+    if not len(lt) or (how == "inner" and not len(rt)):
+        return out_schema.empty_table()
+    # only a left-outer left side keeps null keys: they match nothing
+    lkey = lt[key]
+    lvalid = pc.is_valid(lkey).to_numpy(zero_copy_only=False)
+    if lkey.null_count:
+        lkey = pc.fill_null(lkey, pa.scalar(0, lkey.type))
+    lk = lkey.to_numpy(zero_copy_only=False)
+    rk = rt[key].to_numpy(zero_copy_only=False)
     order = np.argsort(rk, kind="stable")
     rk_sorted = rk[order]
     lo = np.searchsorted(rk_sorted, lk, side="left")
-    hi = np.searchsorted(rk_sorted, lk, side="right")
-    lens = hi - lo
-    total = int(lens.sum())
+    lens = np.where(lvalid, np.searchsorted(rk_sorted, lk, side="right") - lo, 0)
+    rows = np.maximum(lens, 1) if how == "left" else lens
+    total = int(rows.sum())
     if total == 0:
         return out_schema.empty_table()
     flat = (
         np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(lens) - lens, lens)
-        + np.repeat(lo, lens)
+        - np.repeat(np.cumsum(rows) - rows, rows)
+        + np.repeat(lo, rows)
     )
-    lidx = pa.array(np.repeat(np.arange(len(lk), dtype=np.int64), lens))
-    ridx = pa.array(order[flat].astype(np.int64))
+    matched = np.repeat(lens > 0, rows)
+    lidx = pa.array(np.repeat(np.arange(len(lk), dtype=np.int64), rows))
+    ridx = pa.array(
+        np.where(matched, order[np.minimum(flat, max(len(order) - 1, 0))], 0)
+        if len(order)
+        else np.zeros(total, np.int64),
+        pa.int64(),
+        mask=~matched,
+    )
     cols = {key: lt[key].take(lidx)}
     for n in lnames:
         cols[n] = lt[n].take(lidx)
     for n in rnames:
-        cols[n] = rt[n].take(ridx)
+        cols[n] = rt[n].take(ridx) if len(rt) else pa.nulls(total, out_schema.field(n).type)
     return pa.table(cols, schema=out_schema)
+
+
+def _join_cp(left, right, *, key, how, num_partitions=None, left_schema=None, right_schema=None):
+    from functools import partial as _p
+
+    from bitfunnel_ray.ops.exchange import exchange
+
+    # schema inference EXECUTES a sample and returns None on an
+    # all-empty side — callers that can feed an empty dataset (e.g. a
+    # linkless corpus's link side) pass the schemas explicitly
+    ls = left_schema or left.schema()
+    rs = right_schema or right.schema()
+    if ls is None or rs is None:
+        raise ValueError(
+            "co-partitioned join could not infer a side's schema (empty "
+            "dataset?) — pass left_schema/right_schema explicitly"
+        )
+    lbase = ls if isinstance(ls, pa.Schema) else ls.base_schema
+    rbase = rs if isinstance(rs, pa.Schema) else rs.base_schema
+    lnames = tuple(f.name for f in lbase if f.name != key)
+    rnames = tuple(f.name for f in rbase if f.name != key)
+    clash = set(lnames) & set(rnames)
+    if clash:
+        raise ValueError(f"co-partitioned join payload column clash: {sorted(clash)}")
+    key_type = lbase.field(key).type
+    payload = [lbase.field(n) for n in lnames] + [rbase.field(n) for n in rnames]
+    transport = pa.schema([pa.field(key, key_type), pa.field("_side", pa.int8())] + payload)
+    out_schema = pa.schema([pa.field(key, key_type)] + payload)
+
+    def tag(t: pa.Table, *, side: int) -> pa.Table:
+        if len(t) == 0 or key not in t.column_names:
+            return transport.empty_table()
+        # SQL null semantics: a null key never matches — drop it here
+        # (it would otherwise surface as NaN after to_numpy, where
+        # NaN==NaN ranges falsely match and int64 keys degrade to
+        # float64); a left-outer join still emits its null-key left rows
+        kcol = t[key]
+        if kcol.null_count and (side == 0 or how == "inner"):
+            t = t.filter(pc.is_valid(kcol))
+            if len(t) == 0:
+                return transport.empty_table()
+        mine = lnames if side == 1 else rnames
+        cols = {key: t[key].cast(key_type), "_side": pa.array(np.full(len(t), side, np.int8))}
+        for f in payload:
+            cols[f.name] = t[f.name] if f.name in mine else pa.nulls(len(t), f.type)
+        return pa.table(cols, schema=transport)
+
+    both = left.map_batches(_p(tag, side=1), batch_format="pyarrow").union(
+        right.map_batches(_p(tag, side=0), batch_format="pyarrow")
+    )
+    kernel = _p(
+        _cp_join_block, key=key, lnames=lnames, rnames=rnames, out_schema=out_schema, how=how
+    )
+    return exchange(both, [key], kernel, num_partitions=num_partitions)
 
 
 def inner_join_cp(
@@ -439,71 +498,17 @@ def inner_join_cp(
     disjoint apart from ``key``).  Exchange volume = both sides once —
     the same as a shuffle join, minus the string keys when callers
     pre-hash."""
-    from functools import partial as _p
-
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
-
-    # schema inference EXECUTES a sample and returns None on an
-    # all-empty side — callers that can feed an empty dataset (e.g. a
-    # linkless corpus's link side) pass the schemas explicitly
-    ls = left_schema or left.schema()
-    rs = right_schema or right.schema()
-    if ls is None or rs is None:
-        raise ValueError(
-            "inner_join_cp could not infer a side's schema (empty "
-            "dataset?) — pass left_schema/right_schema explicitly"
-        )
-    lbase = ls if isinstance(ls, pa.Schema) else ls.base_schema
-    rbase = rs if isinstance(rs, pa.Schema) else rs.base_schema
-    lnames = tuple(f.name for f in lbase if f.name != key)
-    rnames = tuple(f.name for f in rbase if f.name != key)
-    clash = set(lnames) & set(rnames)
-    if clash:
-        raise ValueError(f"inner_join_cp payload column clash: {sorted(clash)}")
-    key_type = lbase.field(key).type
-    transport = pa.schema(
-        [pa.field(key, key_type), pa.field("_side", pa.int8())]
-        + [lbase.field(n) for n in lnames]
-        + [rbase.field(n) for n in rnames]
-    )
-    out_schema = pa.schema(
-        [pa.field(key, key_type)]
-        + [lbase.field(n) for n in lnames]
-        + [rbase.field(n) for n in rnames]
+    return _join_cp(
+        left, right, key=key, how="inner", num_partitions=num_partitions,
+        left_schema=left_schema, right_schema=right_schema,
     )
 
-    def tag(t: pa.Table, *, side: int) -> pa.Table:
-        if len(t) == 0 or key not in t.column_names:
-            return transport.empty_table()
-        # SQL inner-join null semantics: null keys never match — drop them
-        # here (they would otherwise surface as NaN after to_numpy, where
-        # NaN==NaN ranges falsely match and int64 keys degrade to float64)
-        kcol = t[key]
-        if kcol.null_count:
-            import pyarrow.compute as _pc
 
-            t = t.filter(_pc.is_valid(kcol))
-            if len(t) == 0:
-                return transport.empty_table()
-        mine = lnames if side == 1 else rnames
-        cols = {key: t[key].cast(key_type), "_side": pa.array(np.full(len(t), side, np.int8))}
-        for f in transport:
-            if f.name in (key, "_side"):
-                continue
-            cols[f.name] = t[f.name] if f.name in mine else pa.nulls(len(t), f.type)
-        return pa.table(cols, schema=transport)
-
-    both = left.map_batches(_p(tag, side=1), batch_format="pyarrow").union(
-        right.map_batches(_p(tag, side=0), batch_format="pyarrow")
-    )
-    # always configure the hash-shuffle strategy, even with a pinned count
-    default_parts = tune_hash_shuffle(both.context)
-    n_parts = num_partitions or default_parts
-    return both.repartition(num_blocks=n_parts, keys=[key]).map_batches(
-        _p(_cp_join_block, key=key, lnames=lnames, rnames=rnames, out_schema=out_schema),
-        batch_size=None,
-        batch_format="pyarrow",
-    )
+def left_join_cp(left, right, *, key: str, **kw) -> "ray.data.Dataset":
+    """Co-partitioned LEFT OUTER equi-join: ``inner_join_cp``'s rows plus
+    every left row without a match (null key included) once, with null
+    right payload.  Same arguments, transport, exchange and kernel."""
+    return _join_cp(left, right, key=key, how="left", **kw)
 
 
 def anti_join_bloom(
@@ -530,13 +535,8 @@ def anti_join_bloom(
     cardinality or an overestimate)."""
     import ray as _ray
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
     from bitfunnel_ray.functions.bloom import bloom_from_dataset
 
-    # configure the hash-exchange strategy BEFORE deriving datasets — the
-    # context snapshot taken here rides through the union into the final
-    # co-partitioned verify
-    tune_hash_shuffle(big.context)
     bloom = bloom_from_dataset(blocklist, key, n_keys=n_keys, fpr=fpr)
     bloom_ref = _ray.put(bloom)
 
@@ -552,4 +552,5 @@ def anti_join_bloom(
     clean = big.map_batches(split(False), batch_format="pyarrow")
     suspects = big.map_batches(split(True), batch_format="pyarrow")
     resolved = anti_join(suspects, blocklist, key=key, broadcast=False)
-    return clean.union(resolved)
+    # exchanged side first: a union runs under its left side's context
+    return resolved.union(clean)

@@ -210,7 +210,7 @@ def significant_terms(
     single fixed expression order mirrored in the SQL oracle."""
     from functools import partial as _bind
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.build.stats import top_k_by
 
     partials = corpus.select_columns(["text"]).map_batches(
@@ -218,12 +218,7 @@ def significant_terms(
         batch_format="pyarrow",
         batch_size=None,
     )
-    n_blocks = tune_hash_shuffle(partials.context)
-    reduced = (
-        partials.repartition(num_blocks=n_blocks, keys=["term"])
-        .map_batches(_sig_reduce, batch_format="pyarrow", batch_size=None)
-        .materialize()
-    )
+    reduced = exchange(partials, ["term"], _sig_reduce).materialize()
     tot = reduced.map_batches(
         lambda t: t.filter(pa.compute.equal(t["term"], _SIG_SENTINEL)),
         batch_format="pyarrow",

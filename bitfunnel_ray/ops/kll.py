@@ -211,7 +211,7 @@ def grouped_kll_quantiles(
     sketch rows (O(k log n) per group per block, never the value column),
     and the per-group finish merges co-located sketches.  Returns
     (group, q, value) sorted."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def per_block(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -276,10 +276,7 @@ def grouped_kll_quantiles(
     rows = ds.select_columns([group_col, value_col]).map_batches(
         per_block, batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(rows.context)
-    per_group = rows.repartition(num_blocks=n_blocks, keys=["grp"]).map_batches(
-        finish, batch_size=None, batch_format="pyarrow"
-    )
+    per_group = exchange(rows, ["grp"], finish)
     tables = [x for x in ray.get(per_group.to_arrow_refs()) if len(x)]
     out = (
         pa.concat_tables(tables)

@@ -129,7 +129,7 @@ def train_bigram_lm(
     closed vocabulary.  ``min_count`` > 1 additionally drops rare bigram
     ROWS from the table (they score as unseen) to bound broadcast size.
     """
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.build.stats import top_k_by
 
     uni = _gather_counts(ngram_counts(corpus, n=1))
@@ -164,14 +164,9 @@ def train_bigram_lm(
         batch_format="pyarrow",
         batch_size=None,
     )
-    n_blocks = tune_hash_shuffle(parts.context)
     from bitfunnel_ray.ops.ngrams import _combine_grams
 
-    big_tbl = _gather_counts(
-        parts.repartition(num_blocks=n_blocks, keys=["gram"]).map_batches(
-            _combine_grams, batch_format="pyarrow", batch_size=None
-        )
-    )
+    big_tbl = _gather_counts(exchange(parts, ["gram"], _combine_grams))
     bk, bc = _keyed(big_tbl)
     if min_count > 1:
         keep = bc >= min_count

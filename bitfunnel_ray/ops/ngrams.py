@@ -88,12 +88,9 @@ def ngram_counts(
     partials = corpus.select_columns(["text"]).map_batches(
         partial(_gram_partials, n=n), batch_format="pyarrow", batch_size=None
     )
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
-    n_blocks = tune_hash_shuffle(partials.context)
-    return partials.repartition(num_blocks=n_blocks, keys=["gram"]).map_batches(
-        _combine_grams, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(partials, ["gram"], _combine_grams)
 
 
 def top_ngrams(corpus: "ray.data.Dataset", n: int = 2, k: int = 100) -> pa.Table:
@@ -174,7 +171,7 @@ def pmi_collocations(
     rows.  N1/N2 come from one extra map-only scan of the corpus.  The
     final float is computed in ONE fixed expression order so the DuckDB
     oracle is bit-identical after round(,6)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.build.stats import top_k_by
 
     totals = (
@@ -241,7 +238,6 @@ def pmi_collocations(
     big = ngram_counts(corpus, 2).map_batches(
         _split_filter, batch_format="pyarrow", batch_size=None
     )
-    n_blocks = tune_hash_shuffle(corpus.context)
 
     def _tag_big(t: pa.Table, key: str) -> pa.Table:
         t = t.drop_columns([c for c in ("w", "ucnt") if c in t.schema.names])
@@ -253,18 +249,10 @@ def pmi_collocations(
     # pass 1: resolve c_left; pass 2: resolve c_right
     joined = big
     for key, out_col in (("left", "c_left"), ("right", "c_right")):
-        joined = (
-            joined.map_batches(
-                partial(_tag_big, key=key), batch_format="pyarrow", batch_size=None
-            )
-            .union(uni)
-            .repartition(num_blocks=n_blocks, keys=["w"])
-            .map_batches(
-                partial(_join_unigram, out_col=out_col),
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-        )
+        tagged = joined.map_batches(
+            partial(_tag_big, key=key), batch_format="pyarrow", batch_size=None
+        ).union(uni)
+        joined = exchange(tagged, ["w"], partial(_join_unigram, out_col=out_col))
 
     def _pmi(t: pa.Table) -> pa.Table:
         if len(t) == 0:

@@ -35,16 +35,14 @@ def exact_percentiles(
     quantiles: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95, 0.99),
 ) -> pa.Table:
     """percentile_disc over an integer column; returns (q, value)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     vals = ds.select_columns([col]).map_batches(
         lambda t: pa.table({"value": t[col].cast(pa.int64())}), batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(vals.context)
     partials = vals.map_batches(_value_counts_block, batch_format="pyarrow")
     hist = (
-        partials.repartition(num_blocks=n_blocks, keys=["value"])
-        .map_batches(_value_counts_block_sum, batch_size=None, batch_format="pyarrow")
+        exchange(partials, ["value"], _value_counts_block_sum)
         .to_pandas()  # bounded by the value domain, not the row count
         .sort_values("value")
     )
@@ -163,7 +161,7 @@ def grouped_percentiles(
 
     import ray
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     rows = ds.select_columns([group_col, value_col]).map_batches(
         lambda t: pa.table(
@@ -171,12 +169,9 @@ def grouped_percentiles(
         ),
         batch_format="pyarrow",
     )
-    n_blocks = tune_hash_shuffle(rows.context)
     partials = rows.map_batches(_group_value_counts_block, batch_format="pyarrow")
-    per_group = partials.repartition(num_blocks=n_blocks, keys=["grp"]).map_batches(
-        _bind(_group_percentiles_block, quantiles=tuple(quantiles)),
-        batch_size=None,
-        batch_format="pyarrow",
+    per_group = exchange(
+        partials, ["grp"], _bind(_group_percentiles_block, quantiles=tuple(quantiles))
     )
     tables = [x for x in ray.get(per_group.to_arrow_refs()) if len(x)]
     out = pa.concat_tables(tables) if tables else _group_percentiles_block(

@@ -127,7 +127,7 @@ def semdedup(
     (dup_of = members skipped past ``max_cluster``).  The drops Dataset
     stays in the object store — callers anti-join it against the corpus
     (``ops/joins.anti_join``), exactly like the other dedup ops."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     cents = kmeans_centroids(embeddings, n_clusters, n_iter, vec_col, id_col)
     c_ref = ray.put(cents)
@@ -135,14 +135,12 @@ def semdedup(
         partial(_assign, c_ref=c_ref, vec_col=vec_col, id_col=id_col),
         batch_format="pyarrow",
     )
-    tune_hash_shuffle(assigned.context)
-    co = assigned.repartition(
-        num_blocks=min(num_partitions, max(1, n_clusters)), keys=["cluster"]
-    )
-    return co.map_batches(
+    # whole partition: every cluster arrives complete
+    return exchange(
+        assigned,
+        ["cluster"],
         partial(_prune_block, threshold=threshold, max_cluster=max_cluster),
-        batch_size=None,  # whole partition: every cluster arrives complete
-        batch_format="pyarrow",
+        num_partitions=min(num_partitions, max(1, n_clusters)),
     )
 
 

@@ -125,7 +125,7 @@ def rolling_window(
     exact int64 fixed-point — required for bit-exact oracle comparison."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     window_us = int(round(window_minutes * 60 * 1_000_000))
 
@@ -142,11 +142,10 @@ def rolling_window(
     rows = events.select_columns([user_col, ts_col, id_col, value_col]).map_batches(
         prep, batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(rows.context)
-    return rows.repartition(num_blocks=n_blocks, keys=["user_id"]).map_batches(
+    return exchange(
+        rows,
+        ["user_id"],
         partial(_rolling_block, window_us=window_us, value_scale=value_scale),
-        batch_size=None,
-        batch_format="pyarrow",
     )
 
 
@@ -161,7 +160,7 @@ def sessionize(
     (user_id, session_start_us, session_end_us, n_events)."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     gap_us = int(round(gap_minutes * 60 * 1_000_000))
 
@@ -176,9 +175,4 @@ def sessionize(
     rows = events.select_columns([user_col, ts_col]).map_batches(
         prep, batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(rows.context)
-    return rows.repartition(num_blocks=n_blocks, keys=["user_id"]).map_batches(
-        partial(_sessions_block, gap_us=gap_us),
-        batch_size=None,
-        batch_format="pyarrow",
-    )
+    return exchange(rows, ["user_id"], partial(_sessions_block, gap_us=gap_us))

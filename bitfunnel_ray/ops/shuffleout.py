@@ -50,25 +50,12 @@ def _assign(t: pa.Table, *, seed: int, num_shards: int) -> pa.Table:
     )
 
 
-def _co_partition(assigned, n_parts: int):
-    """Hash-exchange on the shard id + a materialize barrier.  The hash
-    repartition emits exactly ONE block per partition (every row of a
-    shard lands in one block), and the barrier keeps the downstream
-    kernel a task-pool operator instead of fusing into the low-CPU
-    shuffle aggregator, which would hand it PARTIAL batches (the same
-    discipline as ops/dedup.py _payload_join).  groupby().map_groups is
-    deliberately not used: on this Ray version a shuffle partition that
-    receives no rows finalizes as a zero-column block and the
-    aggregator's sort-by-key crashes on it."""
-    return assigned.repartition(num_blocks=n_parts, keys=["_shard"]).materialize()
-
-
 def shuffle_order(ds, seed: int, num_shards: int):
     """(shard, pos, doc_id) for every input row — the order the shard
     writer produces, in oracle-checkable form."""
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     def block(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -100,10 +87,7 @@ def shuffle_order(ds, seed: int, num_shards: int):
     assigned = ds.select_columns(["doc_id"]).map_batches(
         partial(_assign, seed=seed, num_shards=num_shards), batch_format="pyarrow"
     )
-    n_parts = tune_hash_shuffle(assigned.context)
-    return _co_partition(assigned, n_parts).map_batches(
-        block, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(assigned, ["_shard"], block)
 
 
 def write_shuffled_shards(
@@ -115,8 +99,8 @@ def write_shuffled_shards(
 ) -> dict:
     """Write ``ds`` as ``num_shards`` deterministic shuffled parquet
     shards (``shard-%05d.parquet``).  The hash exchange on the shard id
-    hands each shard WHOLE to exactly one write task (one block per
-    partition — see ``_co_partition``), which sorts it by shuffle key
+    hands each shard WHOLE to exactly one write task (``ops/exchange``:
+    one block per partition), which sorts it by shuffle key
     and publishes atomically; existing shard files are SKIPPED on rerun
     (resume after a partial failure re-does only the missing shards).
     Pick ``num_shards`` so a shard fits a worker heap — the usual
@@ -125,7 +109,7 @@ def write_shuffled_shards(
 
     from functools import partial
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     os.makedirs(out_dir, exist_ok=True)
     # config manifest: a rerun with a DIFFERENT seed/num_shards into the
@@ -191,14 +175,7 @@ def write_shuffled_shards(
     assigned = src.map_batches(
         partial(_assign, seed=seed, num_shards=num_shards), batch_format="pyarrow"
     )
-    n_parts = tune_hash_shuffle(assigned.context)
-    stats = (
-        _co_partition(assigned, n_parts)
-        .map_batches(
-            partial(write_block, dest=out_dir), batch_size=None, batch_format="pyarrow"
-        )
-        .to_pandas()
-    )
+    stats = exchange(assigned, ["_shard"], partial(write_block, dest=out_dir)).to_pandas()
     return {
         "shards": int(stats["shard"].nunique()) if len(stats) else 0,
         "rows": int(stats["rows"].sum()) if len(stats) else 0,

@@ -103,16 +103,13 @@ def distinct_terms_by_group(
     (columns: ``text``, ``group_col``).  Returns (group_col, n_terms)
     sorted by group.  One fixed-width exchange of block-deduped
     (group, hash) pairs; everything else is map-side."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     pairs = docs.select_columns([group_col, "text"]).map_batches(
         partial(_pairs_block, group_col=group_col), batch_format="pyarrow"
     )
-    n_blocks = tune_hash_shuffle(pairs.context)
-    parts = pairs.repartition(num_blocks=n_blocks, keys=[group_col, "term"]).map_batches(
-        partial(_count_distinct_block, group_col=group_col),
-        batch_size=None,
-        batch_format="pyarrow",
+    parts = exchange(
+        pairs, [group_col, "term"], partial(_count_distinct_block, group_col=group_col)
     )
     tables = [x for x in ray.get(parts.to_arrow_refs()) if len(x)]
     merged = pa.concat_tables(tables)

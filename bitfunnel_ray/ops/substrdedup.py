@@ -177,20 +177,17 @@ def dedup_substrings(
     Dataset (doc_id, text).  Whitespace inside surviving text is
     normalized to single spaces (tokens are rejoined with ' ', the same
     recipe as the SQL oracle's string_agg)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     if k < 2:
         raise ValueError("k must be >= 2 (a 1-token window dedups the vocabulary)")
-    n_blocks = tune_hash_shuffle(docs.context)
     slim = docs.select_columns([id_col, text_col])
 
     windows = slim.map_batches(
         partial(_window_rows, k=k, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
     )
-    removals = windows.repartition(num_blocks=n_blocks, keys=["h"]).map_batches(
-        _removals, batch_format="pyarrow", batch_size=None
-    )
+    removals = exchange(windows, ["h"], _removals)
 
     def tag_docs(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -213,6 +210,4 @@ def dedup_substrings(
     tagged = slim.map_batches(tag_docs, batch_format="pyarrow").union(
         removals.map_batches(tag_removals, batch_format="pyarrow")
     )
-    return tagged.repartition(num_blocks=n_blocks, keys=["doc_id"]).map_batches(
-        partial(_strip, k=k), batch_format="pyarrow", batch_size=None
-    )
+    return exchange(tagged, ["doc_id"], partial(_strip, k=k))

@@ -87,12 +87,11 @@ def url_dedup(
     """Keep the minimum ``id_col`` row id per canonical URL → (canon_url,
     doc_id) of survivors.  One hash exchange on the canonical string;
     per-block vectorized min-by-group on the co-located partitions."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     slim = canonicalize_urls(
         ds.select_columns([id_col, url_col]), url_col, "canon_url"
     ).select_columns(["canon_url", id_col])
-    n_blocks = tune_hash_shuffle(slim.context)
 
     def keep_min(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -109,9 +108,7 @@ def url_dedup(
             {"canon_url": d.dictionary, id_col: pa.array(best, pa.int64())}
         )
 
-    return slim.repartition(num_blocks=n_blocks, keys=["canon_url"]).map_batches(
-        keep_min, batch_format="pyarrow", batch_size=None
-    )
+    return exchange(slim, ["canon_url"], keep_min)
 
 
 def filter_url_prefixes(

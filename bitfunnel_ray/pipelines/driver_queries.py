@@ -2194,7 +2194,7 @@ def q_region_rollup(sf_dir):
     tiny exchange (never a shuffle join of the big side)."""
     import pyarrow.parquet as _pq
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.ops.joins import broadcast_dim_join
 
     nation = _pq.read_table(f"{sf_dir}/nation.parquet")
@@ -2228,11 +2228,7 @@ def q_region_rollup(sf_dir):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    p = joined.map_batches(partial, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(p.context)
-    return p.repartition(num_blocks=n_blocks, keys=["r_name"]).map_batches(
-        combine, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(joined.map_batches(partial, batch_format="pyarrow"), ["r_name"], combine)
 
 
 SQL_REGION_ROLLUP = """
@@ -2304,23 +2300,20 @@ SELECT source, q, CAST(v AS BIGINT) AS value FROM (
 
 
 def q_customer_orders(sf_dir):
-    """Per-market-segment order revenue via Ray Data's NATIVE hash join
-    (Dataset.join, both sides big — the equi-join case where broadcast
-    doesn't apply), then the map-side-partial + tiny-exchange aggregate.
-    num_partitions is the explicit shuffle width (the 100 TB knob)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    """Per-market-segment order revenue via the engine's co-partitioned
+    join (ops/joins.py ``inner_join_cp``, both sides big — the equi-join
+    case where broadcast doesn't apply), then the map-side-partial +
+    tiny-exchange aggregate."""
+    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.joins import inner_join_cp
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
     cust = rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    n_blocks = tune_hash_shuffle(orders.context)
-    j = orders.join(
-        cust, "inner", num_partitions=n_blocks,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    ).rename_columns({"c_custkey": "o_custkey"})
+    j = inner_join_cp(orders, cust, key="o_custkey")
 
     def partial(t: pa.Table) -> pa.Table:
         # integer-cents sum — see q_region_rollup for why double sums
@@ -2340,10 +2333,7 @@ def q_customer_orders(sf_dir):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    p = j.map_batches(partial, batch_format="pyarrow")
-    return p.repartition(num_blocks=n_blocks, keys=["c_mktsegment"]).map_batches(
-        combine, batch_size=None, batch_format="pyarrow"
-    )
+    return exchange(j.map_batches(partial, batch_format="pyarrow"), ["c_mktsegment"], combine)
 
 
 SQL_CUSTOMER_ORDERS = """
@@ -2362,7 +2352,7 @@ def q_pricing_summary(sf_dir):
     scaled int64 — sum(ep·(1-disc)) as 1e-4 units, sum(ep·(1-disc)·
     (1+tax)) as 1e-6 units — so every column hash-compares bit-exactly
     (a float sum never can; see q_region_rollup)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
 
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -2405,11 +2395,9 @@ def q_pricing_summary(sf_dir):
         g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    p = li.map_batches(partial, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(p.context)
-    return p.repartition(
-        num_blocks=n_blocks, keys=["l_returnflag", "l_linestatus"]
-    ).map_batches(combine, batch_size=None, batch_format="pyarrow")
+    return exchange(
+        li.map_batches(partial, batch_format="pyarrow"), ["l_returnflag", "l_linestatus"], combine
+    )
 
 
 SQL_PRICING_SUMMARY = """
@@ -2437,7 +2425,7 @@ def q_top_supplier_per_part(sf_dir):
     exchange on partkey (co-locating every supplier of a part), one
     vectorized group+top-1 per block, then the part and supplier DIMS
     join map-side via broadcast (never a big-side shuffle)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.ops.joins import broadcast_dim_join
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2452,7 +2440,6 @@ def q_top_supplier_per_part(sf_dir):
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey", "l_quantity"]
     ).map_batches(prep, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(li.context)
 
     def top1(t: pa.Table) -> pa.Table:
         # all (part, supp) partials for a part are in this block
@@ -2465,9 +2452,7 @@ def q_top_supplier_per_part(sf_dir):
         ).groupby("l_partkey", as_index=False).head(1)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    best = li.repartition(num_blocks=n_blocks, keys=["l_partkey"]).map_batches(
-        top1, batch_size=None, batch_format="pyarrow"
-    )
+    best = exchange(li, ["l_partkey"], top1)
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"])
     supp = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"])
     j = broadcast_dim_join(
@@ -2511,26 +2496,23 @@ WHERE rk = 1 ORDER BY p_partkey
 
 
 def q_shipping_priority(sf_dir):
-    """TPC-H Q3-style shipping priority: two native hash joins
-    (orders⋈customer on custkey, then lineitem⋈ on orderkey), per-order
+    """TPC-H Q3-style shipping priority: two co-partitioned joins
+    (ops/joins.py ``inner_join_cp``: orders⋈customer on custkey, then
+    lineitem⋈ on orderkey), per-order
     revenue as exact 1e-4-scaled int64, grouped post-exchange, and a
     map-side top-10 so only ≤ 10 rows per block reach the driver."""
     import ray
-    from ray.data.context import DataContext
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.joins import inner_join_cp
 
-    # tune the CURRENT context before any dataset is built: each dataset
-    # snapshots the context at creation, and the repartition at the end
-    # runs on a join output, not on the dataset tuned here
-    n_blocks = tune_hash_shuffle(DataContext.get_current())
     cutoff = np.datetime64("1998-06-01T00:00:00", "us")
     cust = rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     ).map_batches(
-        lambda t: t.filter(
-            pa.array(t["c_mktsegment"].to_numpy(zero_copy_only=False) == "BUILDING")
-        ).select(["c_custkey"]),
+        lambda t: pa.table(
+            {"o_custkey": t["c_custkey"].cast(pa.int64())}
+        ).filter(pa.array(t["c_mktsegment"].to_numpy(zero_copy_only=False) == "BUILDING")),
         batch_format="pyarrow",
     )
 
@@ -2570,13 +2552,23 @@ def q_shipping_priority(sf_dir):
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(prep_li, batch_format="pyarrow")
 
-    j1 = orders.join(
-        cust, "inner", num_partitions=n_blocks,
-        on=("o_custkey",), right_on=("c_custkey",),
-    ).select_columns(["o_orderkey", "o_orderdate_us"])
-    j2 = li.join(
-        j1, "inner", num_partitions=n_blocks,
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    i64 = pa.int64()
+    j1 = inner_join_cp(
+        orders, cust, key="o_custkey",
+        left_schema=pa.schema(
+            [("o_orderkey", i64), ("o_custkey", i64), ("o_orderdate_us", i64)]
+        ),
+        right_schema=pa.schema([("o_custkey", i64)]),
+    ).map_batches(
+        lambda t: pa.table(
+            {"l_orderkey": t["o_orderkey"], "o_orderdate_us": t["o_orderdate_us"]}
+        ),
+        batch_format="pyarrow",
+    )
+    j2 = inner_join_cp(
+        li, j1, key="l_orderkey",
+        left_schema=pa.schema([("l_orderkey", i64), ("rev_e4", i64)]),
+        right_schema=pa.schema([("l_orderkey", i64), ("o_orderdate_us", i64)]),
     )
 
     def topk_block(t: pa.Table) -> pa.Table:
@@ -2591,9 +2583,7 @@ def q_shipping_priority(sf_dir):
         ).head(10)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = j2.repartition(num_blocks=n_blocks, keys=["l_orderkey"]).map_batches(
-        topk_block, batch_size=None, batch_format="pyarrow"
-    )
+    parts = exchange(j2, ["l_orderkey"], topk_block)
     tables = [x for x in ray.get(parts.to_arrow_refs()) if len(x)]
     import pandas as _pd
 
@@ -2637,15 +2627,17 @@ def q_connected_components(sf_dir):
     (doc_id, doc_id+1) whenever the two docs share ``lang``.  Components
     are maximal consecutive same-lang runs — LONG chains, the worst case
     for label propagation and the case the star algorithm must close in
-    O(log n) rounds.  Edge build is Ray Data's native hash join (shifted
-    key); output assigns EVERY doc (singletons = self)."""
+    O(log n) rounds.  Edge build is the engine's co-partitioned join
+    (ops/joins.py, shifted key); output assigns EVERY doc (singletons =
+    self)."""
     import pyarrow.compute as pc
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
     from bitfunnel_ray.ops.cc import connected_components
+    from bitfunnel_ray.ops.joins import inner_join_cp, left_join_cp
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
-    n_blocks = tune_hash_shuffle(docs.context)
+    lang_t = docs.schema().base_schema.field("lang").type
+    i64 = pa.int64()
 
     def shift(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -2658,13 +2650,15 @@ def q_connected_components(sf_dir):
 
     def rhs(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"doc_b": t["doc_id"].cast(pa.int64()), "lang_b": t["lang"]}
+            {"nbr": t["doc_id"].cast(pa.int64()), "lang_b": t["lang"]}
         )
 
     left = docs.map_batches(shift, batch_format="pyarrow")
     right = docs.map_batches(rhs, batch_format="pyarrow")
-    edges = left.join(
-        right, "inner", num_partitions=n_blocks, on=("nbr",), right_on=("doc_b",)
+    edges = inner_join_cp(
+        left, right, key="nbr",
+        left_schema=pa.schema([("nbr", i64), ("doc_a", i64), ("lang_a", lang_t)]),
+        right_schema=pa.schema([("nbr", i64), ("lang_b", lang_t)]),
     ).filter(expr="lang_a == lang_b")
     # the join materializes the matched key once, as "nbr" (== doc_b)
     assign = connected_components(edges, cols=("doc_a", "nbr"))
@@ -2676,14 +2670,15 @@ def q_connected_components(sf_dir):
 
     # every doc gets a row: docs not in any edge are their own component
     # (left-outer join against the assignment, null → self)
-    full = docs.map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"].cast(pa.int64())}),
-        batch_format="pyarrow",
-    ).join(
+    full = left_join_cp(
+        docs.map_batches(
+            lambda t: pa.table({"doc_id": t["doc_id"].cast(pa.int64())}),
+            batch_format="pyarrow",
+        ),
         assign.map_batches(assign_rows, batch_format="pyarrow"),
-        "left_outer",
-        num_partitions=n_blocks,
-        on=("doc_id",),
+        key="doc_id",
+        left_schema=pa.schema([("doc_id", i64)]),
+        right_schema=pa.schema([("doc_id", i64), ("component", i64)]),
     )
 
     def fill_self(t: pa.Table) -> pa.Table:
@@ -3171,15 +3166,13 @@ def q_local_supplier_volume(sf_dir):
     Shape: nation/region resolve driver-side (tiny dims); supplier →
     nationkey is a broadcast searchsorted lookup inside the lineitem scan
     (supplier is the classic small side — 10k rows/SF vs 6M lineitem);
-    orders⋈customer and lineitem⋈(that) are native hash joins; the final
+    orders⋈customer and lineitem⋈(that) are co-partitioned joins
+    (ops/joins.py ``inner_join_cp``); the final
     per-nation rollup needs no exchange at all — every block bincounts
     into ≤ 25 nation slots and the driver sums the tiny partials."""
     import ray
-    from ray.data.context import DataContext
 
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
-
-    n_blocks = tune_hash_shuffle(DataContext.get_current())
+    from bitfunnel_ray.ops.joins import inner_join_cp
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet")
     reg = pq.read_table(f"{sf_dir}/region.parquet")
@@ -3220,7 +3213,7 @@ def q_local_supplier_volume(sf_dir):
         keep = np.isin(nk, allowed)
         return pa.table(
             {
-                "c_custkey": pa.array(ck[keep], pa.int64()),
+                "o_custkey": pa.array(ck[keep], pa.int64()),
                 "c_nationkey": pa.array(nk[keep], pa.int64()),
             }
         )
@@ -3258,13 +3251,19 @@ def q_local_supplier_volume(sf_dir):
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(prep_li, batch_format="pyarrow")
 
-    j1 = orders.join(
-        cust, "inner", num_partitions=n_blocks,
-        on=("o_custkey",), right_on=("c_custkey",),
-    ).select_columns(["o_orderkey", "c_nationkey"])
-    j2 = li.join(
-        j1, "inner", num_partitions=n_blocks,
-        on=("l_orderkey",), right_on=("o_orderkey",),
+    i64 = pa.int64()
+    j1 = inner_join_cp(
+        orders, cust, key="o_custkey",
+        left_schema=pa.schema([("o_custkey", i64), ("o_orderkey", i64)]),
+        right_schema=pa.schema([("o_custkey", i64), ("c_nationkey", i64)]),
+    ).map_batches(
+        lambda t: pa.table({"l_orderkey": t["o_orderkey"], "c_nationkey": t["c_nationkey"]}),
+        batch_format="pyarrow",
+    )
+    j2 = inner_join_cp(
+        li, j1, key="l_orderkey",
+        left_schema=pa.schema([("l_orderkey", i64), ("s_nationkey", i64), ("rev_e4", i64)]),
+        right_schema=pa.schema([("l_orderkey", i64), ("c_nationkey", i64)]),
     )
 
     def nation_partial(t: pa.Table) -> pa.Table:

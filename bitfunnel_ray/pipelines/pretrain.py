@@ -124,11 +124,11 @@ def pretrain_pipeline(
     (exact hash or near MinHash) are dropped right after cleaning — the
     incremental / rolling-crawl shape (requires globally unique doc_ids
     across the corpora)."""
-    from bitfunnel_ray.build.builder import tune_hash_shuffle
+    from bitfunnel_ray.ops.budget import token_budget_sample
     from bitfunnel_ray.ops.cc import dedup_canonical
     from bitfunnel_ray.ops.dedup import content_hash_batch, minhash_dedup_pairs
+    from bitfunnel_ray.ops.exchange import exchange
     from bitfunnel_ray.ops.joins import anti_join
-    from bitfunnel_ray.ops.budget import token_budget_sample
 
     report: dict = {"docs_in": corpus.count()}
 
@@ -165,14 +165,8 @@ def pretrain_pipeline(
     # --- exact dedup ------------------------------------------------------
     key_type = cleaned.schema().base_schema.field("doc_id").type
     hashed = cleaned.map_batches(content_hash_batch, batch_format="pyarrow")
-    n_blocks = tune_hash_shuffle(hashed.context)
-    removed = (
-        hashed.repartition(num_blocks=n_blocks, keys=["content_hash"])
-        .map_batches(
-            partial(_removed_dups_block, key_type=key_type),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
+    removed = exchange(
+        hashed, ["content_hash"], partial(_removed_dups_block, key_type=key_type)
     )
     exact_kept = anti_join(cleaned, removed, key="doc_id", broadcast=False).materialize()
     report["after_exact_dedup"] = exact_kept.count()

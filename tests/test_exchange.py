@@ -1,0 +1,200 @@
+"""The hash-exchange layer (bitfunnel_ray/ops/exchange.py): it is the
+only code that hash-partitions a Dataset, the Dataset it returns carries
+the tuned policy, every partition reaches the kernel whole, and the
+co-partitioned left-outer join built on it matches pandas."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+import ray.data as rd
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "bitfunnel_ray"
+LAYER = PKG / "ops" / "exchange.py"
+JOIN_TYPES = {
+    "inner", "left_outer", "right_outer", "full_outer",
+    "left_semi", "right_semi", "left_anti", "right_anti",
+}
+
+
+def _violations(source: str) -> list[str]:
+    """Hand-rolled exchange code in ``source``: the shuffle policy, a keyed
+    repartition, or a ``Dataset.join`` (join-type string as its second
+    positional argument, or ``num_partitions=``).  pyarrow's
+    ``Table.join(right, keys=..., join_type=...)`` is not one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        if name and (
+            name in ("tune_hash_shuffle", "ShuffleStrategy")
+            or name.endswith("_num_cpus_per_partition_override")
+        ):
+            out.append(f"{getattr(node, 'lineno', '?')}: {name}")
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        kw = {k.arg for k in node.keywords}
+        if node.func.attr == "repartition" and "keys" in kw:
+            out.append(f"{node.lineno}: keyed repartition")
+        if node.func.attr == "join" and (
+            "num_partitions" in kw
+            or (
+                len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in JOIN_TYPES
+            )
+        ):
+            out.append(f"{node.lineno}: Dataset.join")
+    return out
+
+
+def test_scan_flags_hand_rolled_exchanges():
+    src = (
+        "from bitfunnel_ray.build.builder import tune_hash_shuffle\n"
+        "from ray.data.context import ShuffleStrategy\n"
+        "ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0\n"
+        "a = ds.repartition(num_blocks=4, keys=['k'])\n"
+        "b = ds.join(other, 'left_outer', on=('k',))\n"
+        "c = ds.join(other, join_type='inner', num_partitions=4, on=('k',))\n"
+        # legal: unkeyed repartition, pyarrow Table.join, str.join
+        "d = ds.repartition(4)\n"
+        "e = t.join(u, keys='k', join_type='inner')\n"
+        "f = ', '.join(names)\n"
+    )
+    # one finding per line 1-6, none on the legal lines 7-9
+    assert [v.split(":")[0] for v in _violations(src)] == ["1", "2", "3", "4", "5", "6"]
+
+
+def test_only_the_layer_hash_partitions():
+    found = {
+        str(p.relative_to(PKG)): v
+        for p in sorted(PKG.rglob("*.py"))
+        if p != LAYER and (v := _violations(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_exchange_tunes_the_dataset_it_returns(ray_session):
+    import ray
+    from ray.data.context import ShuffleStrategy
+
+    from bitfunnel_ray.ops.exchange import exchange
+
+    t = pa.table({"k": pa.array(np.arange(200) % 7, pa.int64()), "v": pa.array(np.ones(200, np.int64))})
+
+    def per_block(b: pa.Table) -> pa.Table:
+        keys, counts = np.unique(b["k"].to_numpy(), return_counts=True)
+        return pa.table({"k": pa.array(keys, pa.int64()), "n": pa.array(counts, pa.int64())})
+
+    out = exchange(rd.from_arrow(t).repartition(5), ["k"], per_block)
+    ctx = out.context
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
+    assert ctx.default_hash_shuffle_parallelism == max(2, min(32, cpus // 2))
+    assert ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override == 0.05
+    got = out.to_pandas()
+    # every key's rows met in ONE kernel call
+    assert sorted(got["k"]) == list(range(7))
+    assert got.set_index("k")["n"].to_dict() == {k: int((np.arange(200) % 7 == k).sum()) for k in range(7)}
+
+
+@pytest.mark.parametrize(
+    "cpus,pin,parts,reserve",
+    [(1, None, 2, 0.0), (2, None, 2, 0.05), (64, None, 32, 0.05), (4, "3", 3, 0.05)],
+)
+def test_policy(monkeypatch, cpus, pin, parts, reserve):
+    """Partitions = CPUs/2 in [2, 32] unless BFR_SHUFFLE_PARTS pins it;
+    each partition reserves 0.05 CPU, but never the CPU a 1-CPU session
+    needs for the task that feeds the exchange."""
+    import ray
+    from ray.data import DataContext
+
+    from bitfunnel_ray.ops import exchange as ex
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    if pin is None:
+        monkeypatch.delenv("BFR_SHUFFLE_PARTS", raising=False)
+    else:
+        monkeypatch.setenv("BFR_SHUFFLE_PARTS", pin)
+    ctx = DataContext.get_current().copy()
+    assert ex._tune(ctx) == parts
+    assert ctx.default_hash_shuffle_parallelism == parts
+    assert ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override == reserve
+    assert ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override == reserve
+
+
+def _rows(df: pd.DataFrame) -> list:
+    """Order-free, NaN-free row multiset for comparing join outputs."""
+    def norm(v):
+        if v is None or (isinstance(v, float) and np.isnan(v)):
+            return None
+        return int(v) if isinstance(v, float) and v.is_integer() else v
+
+    return sorted((tuple(map(norm, r)) for r in df.values.tolist()), key=repr)
+
+
+LEFT = pa.table(
+    {
+        "k": pa.array([1, 1, 2, None, 5, 3, None], pa.int64()),
+        "lv": pa.array(["a", "b", "c", "d", "e", "f", "g"], pa.string()),
+    }
+)
+RIGHT = pa.table(
+    {
+        "k": pa.array([1, 1, 2, None, 4, 3], pa.int64()),
+        "rv": pa.array([10.0, 11.0, 20.0, 99.0, 40.0, None], pa.float64()),
+    }
+)
+LS = LEFT.schema
+RS = RIGHT.schema
+
+
+def _pandas_left(left: pa.Table, right: pa.Table) -> pd.DataFrame:
+    # SQL semantics: a null key matches nothing (pandas would pair NaNs)
+    r = right.to_pandas().dropna(subset=["k"])
+    return left.to_pandas().merge(r, on="k", how="left")[["k", "lv", "rv"]]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["plain", "left_emptied_blocks", "right_emptied"],
+)
+def test_left_join_cp_matches_pandas(ray_session, case):
+    from bitfunnel_ray.ops.joins import left_join_cp
+
+    lds, rds = rd.from_arrow(LEFT), rd.from_arrow(RIGHT)
+    left, right = LEFT, RIGHT
+    if case == "left_emptied_blocks":
+        # some blocks emptied by the filter (stale-schema empties)
+        lds = lds.repartition(4).filter(expr="k >= 2")
+        left = LEFT.filter(pa.compute.greater_equal(LEFT["k"], 2))
+    elif case == "right_emptied":
+        rds = rds.repartition(3).filter(expr="k >= 99")
+        right = RIGHT.slice(0, 0)
+    got = left_join_cp(lds, rds, key="k", left_schema=LS, right_schema=RS).to_pandas()
+    assert list(got.columns) == ["k", "lv", "rv"]
+    want = _pandas_left(left, right)
+    assert _rows(got) == _rows(want)
+    # many-to-many: key 1 twice on each side → 4 rows; null keys kept once
+    if case == "plain":
+        assert (got["k"] == 1).sum() == 4
+        assert got["k"].isna().sum() == 2 and got.loc[got["k"].isna(), "rv"].isna().all()
+
+
+def test_inner_and_left_share_one_join(ray_session):
+    """The inner join is the left join minus its unmatched rows."""
+    from bitfunnel_ray.ops.joins import inner_join_cp, left_join_cp
+
+    lds, rds = rd.from_arrow(LEFT), rd.from_arrow(RIGHT)
+    inner = inner_join_cp(lds, rds, key="k").to_pandas()
+    left = left_join_cp(lds, rds, key="k").to_pandas()
+    matched = left[left["k"].isin(RIGHT["k"].drop_null().to_pylist())]
+    assert _rows(inner) == _rows(matched)

@@ -397,6 +397,22 @@ def test_resolve_redirects_mixed_forest(ray_session):
     assert out == {0: 100, 1: 100, 2: 100, 10: 200, 11: 200, 30: 300}
 
 
+def test_resolve_redirects_survives_emptied_blocks(ray_session):
+    # a filter empties some blocks; those keep the stale (src, dst)
+    # schema past the first map and must not abort the join
+    t = pa.table(
+        {
+            "src": pa.array([0, 1, 2, 50, 51], pa.int64()),
+            "dst": pa.array([1, 2, 3, 60, 61], pa.int64()),
+        }
+    )
+    redirects = rd.from_arrow(t).repartition(4).filter(expr="src < 10")
+    out = resolve_redirects(redirects).to_pandas().sort_values("src")
+    assert out["src"].tolist() == [0, 1, 2]
+    assert out["final"].tolist() == [3, 3, 3]
+    assert out["resolved"].all()
+
+
 def test_resolve_redirects_duplicate_src_raises(ray_session):
     import pytest as _pytest
 

@@ -217,7 +217,9 @@ def test_split_df_across_shards_exact(tmp_path_factory, ray_session):
     in different shards (bucket = hash % B differs per segment), so each
     shard holds a PARTIAL df.  The shard-side range + front-side
     sum-then-cut merge must still return the exact global top-k — a
-    shard-side k-cut on partial dfs would drop split terms."""
+    shard-side k-cut on partial dfs would drop split terms.  Three
+    shards: with two, ``h % 4 % 2 == h % 6 % 2`` and no stripe would
+    ever split."""
     from bitfunnel_ray.query.sharded import ShardedServer
 
     docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
@@ -238,22 +240,29 @@ def test_split_df_across_shards_exact(tmp_path_factory, ray_session):
     )
     import pyarrow as pa
 
+    n_shards = 3
     both = pa.concat_tables(
         [
-            pq.read_table(f"{root}/{seg}/vocab", columns=["term", "df"])
+            pq.read_table(f"{root}/{seg}/vocab", columns=["term", "df", "bucket"])
             for seg in ("seg-000", "seg-001")
         ]
-    )
+    ).to_pandas()
     # duplicate term rows (one per segment) sum like the engine merge does
-    agg = both.to_pandas().groupby("term", as_index=False)["df"].sum()
+    agg = both.groupby("term", as_index=False)["df"].sum()
     truth = SuggestIndex(agg["term"].to_numpy(), agg["df"].to_numpy())
-    srv = ShardedServer(str(root), n_shards=2)
+    shards_of = (both["bucket"] % n_shards).groupby(both["term"]).nunique()
+    srv = ShardedServer(str(root), n_shards=n_shards)
+    split = 0
     try:
         eng = srv.engine()
         for pfx in ("s", "sp", "q", "a", ""):
-            assert eng.suggest(pfx, 8).equals(truth.complete(pfx, 8)), pfx
+            got = eng.suggest(pfx, 8)
+            assert got.equals(truth.complete(pfx, 8)), pfx
+            split += int((shards_of[got["term"].to_pylist()] > 1).sum())
     finally:
         srv.shutdown()
+    # the case under test happened: some returned term's df was split
+    assert split > 0
 
 
 def test_compaction_preserves_vocab(tmp_path_factory, ray_session):
@@ -545,7 +554,8 @@ def test_gather_certifies_or_raises():
 
 
 def test_one_cpu_build_and_merge_with_vocab(tmp_path, sf_tiny):
-    """On a 1-CPU Ray session the vocab-sidecar build and the merge must
+    """On a 1-CPU Ray session the salted vocab-sidecar build (its head
+    scan is a hash exchange), the merge and a standalone df table must
     finish: no stage may wait on an exchange that cannot get a CPU.  Runs
     in its own process so it owns its Ray session."""
     import subprocess
@@ -564,15 +574,20 @@ def test_one_cpu_build_and_merge_with_vocab(tmp_path, sf_tiny):
         rd.DataContext.get_current().enable_progress_bars = False
         from bitfunnel_ray.build.builder import build_index
         from bitfunnel_ray.build.merge import merge_segments
+        from bitfunnel_ray.build.stats import document_frequency_table
         from bitfunnel_ray.config import EngineConfig
         from bitfunnel_ray.sources.corpus import _lift_documents_batch
 
         docs = pq.read_table("{sf_tiny}/documents.parquet")
-        cfg = EngineConfig(max_gram=1, num_buckets=4, extra={{"vocab_sidecar": True}})
+        cfg = EngineConfig(max_gram=1, num_buckets=4, head_df_threshold=20,
+                           extra={{"vocab_sidecar": True}})
         segs = ["{tmp_path}/s1", "{tmp_path}/s2"]
         for seg, part in zip(segs, (docs.slice(0, 250), docs.slice(250))):
             build_index(rd.from_arrow(_lift_documents_batch(part)), seg, cfg)
+            assert pq.read_table(seg + "/heads.parquet").num_rows > 0, "no head terms"
         merge_segments(segs, "{tmp_path}/m")
+        corpus = rd.from_arrow(_lift_documents_batch(docs))
+        assert document_frequency_table(corpus, cfg).count() > 0
 
         def vocab(d):
             return pq.read_table(d + "/vocab", columns=["term", "df"]).to_pandas()
