@@ -46,7 +46,7 @@ import ray.data
 
 from bitfunnel_ray.build import segment
 from bitfunnel_ray.build.encode import check_bands, encode_bucket
-from bitfunnel_ray.build.stats import document_frequency_table
+from bitfunnel_ray.build.stats import PartialTermStats
 from bitfunnel_ray.config import EngineConfig
 from bitfunnel_ray.stages.tokenize import tokenize_batch
 
@@ -89,7 +89,8 @@ class TokenizePostings:
         # vocab sidecar (StatisticsBuilder precedent — stats and ingest
         # are ONE corpus walk): build_postings also returns the per-batch
         # unigram df/cf partial over the BODY stream's PRE-stream-fold
-        # hashes (identical to a standalone document_frequency_table scan)
+        # hashes (the same partials PartialTermStats emits for the
+        # statistics scan and the head scan)
         self.vocab = vocab
         if head_ref is not None:
             heads = ray.get(head_ref) if isinstance(head_ref, ray.ObjectRef) else head_ref
@@ -537,8 +538,11 @@ def scan_head_terms(
     statistically solid (≥ 50 expected postings): with ``files`` given and
     plentiful, a FILE-stride sample (only 1/rate of the corpus leaves
     storage — the pruned-read form); else a hash-sample of rows (still a
-    full read, 5% of the tokenize)."""
-    import pyarrow.compute as pc
+    full read, 5% of the tokenize).  The df partials of the sample stay
+    in the object store, one per block, and ``terms_over`` finds the
+    terms over the threshold in two rounds of map tasks: no hash
+    exchange, and the same set whatever the block count."""
+    from bitfunnel_ray.ops.suggest import terms_over
 
     rate = float(cfg.extra.get("head_sample_rate", 0.05))
     stride = max(1, int(round(1.0 / rate))) if rate > 0 else 1
@@ -561,17 +565,20 @@ def scan_head_terms(
 
             scan = sample_filter(corpus, rate)
             thr = int(cfg.head_df_threshold * rate)
-    heads = (
-        document_frequency_table(scan, cfg, emit_text=False)
+    parts = (
+        scan.select_columns(["text"])
         .map_batches(
-            lambda t, _thr=thr: t.filter(pc.greater(t["df"], _thr)),
+            PartialTermStats(cfg.max_gram, emit_text=False),
             batch_format="pyarrow",
+            batch_size=None,
         )
-        .to_pandas()
+        .materialize()
+        .to_arrow_refs()
     )
+    heads = terms_over(parts, ["term_hash", "gram_size"], "df_part", thr)
     if not len(heads):
         return np.empty(0, dtype=np.uint64)
-    return heads["term_hash"].to_numpy().astype(np.uint64)
+    return np.unique(heads["term_hash"].to_numpy().view(np.uint64))
 
 
 def build_index(

@@ -9,9 +9,10 @@ tools/BitFunnel/src/StatisticsBuilder.cpp:114-187 — single-threaded there).
 
 Here both are lock-free Ray Data aggregations with a map-side combiner:
 ``map_batches`` emits one partial row per key per batch (the per-batch
-tokenize already dedups postings per doc), then a small
-``groupby().aggregate(Sum)`` finishes — the shuffle moves only partials,
-never raw postings.
+tokenize already dedups postings per doc), then the df table finishes
+with one ``ops/exchange.exchange`` on the term hash and the histogram
+with a small ``groupby().aggregate(Sum)`` — the shuffle moves only
+partials, never raw postings.
 """
 
 from __future__ import annotations

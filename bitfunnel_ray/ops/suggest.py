@@ -139,6 +139,49 @@ def sum_by_term(parts) -> "tuple[np.ndarray, np.ndarray]":
     return terms[starts], np.add.reduceat(dfs, starts)
 
 
+def _sum_by_key(t, keys: list, count: str, cut: int = 1, among=None):
+    """``count`` summed per key within one part, as (keys..., count):
+    the rows with sum ≥ ``cut``, or the keys in table ``among``.
+    None for a part without the columns (a zero-column empty block)."""
+    if count not in t.column_names:
+        return None
+    s = t.group_by(keys, use_threads=False).aggregate([(count, "sum")])
+    s = s.select(keys + [f"{count}_sum"]).rename_columns(keys + [count])
+    if among is not None:
+        return s.join(among, keys, join_type="inner").select(keys + [count])
+    return s.filter(pc.greater_equal(s[count], cut))
+
+
+def terms_over(parts, keys: list, count: str, thr: int) -> pa.Table:
+    """Every key whose ``count`` summed over ``parts`` exceeds ``thr``,
+    with that exact sum: (keys..., count) in key order.  ``parts`` are
+    Arrow tables, or object refs to them, holding the ``keys`` and
+    ``count`` columns; a key may repeat within and across parts.
+
+    Two rounds of map tasks, each returning a small table, and no
+    exchange (the threshold filter of TPUT, Cao & Wang PODC 2004): by
+    pigeonhole a key whose sum over m parts exceeds thr has a count of
+    at least ⌊thr/m⌋+1 in some part.  Round 1 returns each part's keys at
+    that cut; round 2 the exact counts of their union from every part.
+    The answer does not depend on m or on how the counts are split."""
+    import ray
+
+    task = ray.remote(_sum_by_key)
+
+    def each(**kw) -> list:
+        done = ray.get([task.remote(p, keys, count, **kw) for p in parts])
+        return [c for c in done if c is not None]
+
+    found = each(cut=thr // max(len(parts), 1) + 1)
+    if not found:
+        return pa.table({c: pa.array([], pa.null()) for c in keys + [count]})
+    cand = pa.concat_tables(found).group_by(keys, use_threads=False).aggregate([])
+    if len(cand):
+        found = each(among=ray.put(cand))
+    total = _sum_by_key(pa.concat_tables(found), keys, count, cut=thr + 1)
+    return total.sort_by([(k, "ascending") for k in keys])
+
+
 def merge_suggest_partials(parts, k: int = 10) -> pa.Table:
     """The global top-k of per-shard (terms, dfs) partials: dfs sum per
     term, then the same (df desc, term asc) cut as

@@ -32,23 +32,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from bitfunnel_ray.functions.hashing import hash_terms
 
-def _url_key_rows(t, *, col: str, id_col: str, out: str, payload_col: str | None = None):
+
+def _url_key_rows(t, *, col: str, id_col: str, out: str, url_out: str,
+                  payload_col: str | None = None):
     """One side of a url join: (key = 64-bit hash of the canonical url,
-    ``out`` = id or payload).  Canonical-url hashing is NON-memoized —
-    urls are near-unique, and the term-hash memo must stay for terms
-    (functions/hashing.hash_terms docstring).  Zero-column empty blocks
-    (Ray 2.49 skip-map artifacts) pass through typed."""
-    import pyarrow as pa
-
-    from bitfunnel_ray.functions.hashing import hash_terms
+    ``out`` = id or payload, ``url_out`` = the canonical url, which
+    ``_same_url`` compares after the join).  Canonical-url hashing is
+    NON-memoized — urls are near-unique, and the term-hash memo must stay
+    for terms (functions/hashing.hash_terms docstring).  Zero-column empty
+    blocks (Ray 2.49 skip-map artifacts) pass through typed."""
     from bitfunnel_ray.ops.urls import canonicalize_url_array
 
     out_type = pa.string() if payload_col else pa.int64()
     if len(t) == 0 or col not in t.column_names:
-        return pa.table(
-            {"key": pa.array([], pa.int64()), out: pa.array([], out_type)}
-        )
+        return pa.table({"key": pa.array([], pa.int64()), out: pa.array([], out_type),
+                         url_out: pa.array([], pa.string())})
     curl = canonicalize_url_array(t[col])
     h = hash_terms(np.asarray(curl.to_pylist(), dtype=object), memoize=False)
     val = (
@@ -56,7 +56,17 @@ def _url_key_rows(t, *, col: str, id_col: str, out: str, payload_col: str | None
         if payload_col
         else t[id_col].cast(pa.int64())
     )
-    return pa.table({"key": pa.array(h.view(np.int64), pa.int64()), out: val})
+    return pa.table({"key": pa.array(h.view(np.int64), pa.int64()), out: val,
+                     url_out: curl})
+
+
+def _same_url(t, *, out: pa.Schema):
+    """The ``out`` columns of the joined rows whose two canonical urls
+    agree: equal 64-bit hashes of different urls are a collision, not a
+    link."""
+    if len(t) == 0 or "href_url" not in t.column_names:
+        return out.empty_table()
+    return t.filter(pc.equal(t["href_url"], t["page_url"])).select(out.names)
 
 
 def resolve_links(links, pages_urls, *, href_col: str = "href",
@@ -78,20 +88,25 @@ def resolve_links(links, pages_urls, *, href_col: str = "href",
     from bitfunnel_ray.ops.joins import inner_join_cp
 
     left = links.select_columns([id_col, href_col]).map_batches(
-        _p(_url_key_rows, col=href_col, id_col=id_col, out="src"),
+        _p(_url_key_rows, col=href_col, id_col=id_col, out="src", url_out="href_url"),
         batch_format="pyarrow",
     )
     right = pages_urls.select_columns([id_col, url_col]).map_batches(
-        _p(_url_key_rows, col=url_col, id_col=id_col, out="dst"),
+        _p(_url_key_rows, col=url_col, id_col=id_col, out="dst", url_out="page_url"),
         batch_format="pyarrow",
     )
     return inner_join_cp(
         left, right, key="key", num_partitions=num_partitions,
         # explicit: the link side is EMPTY for a linkless corpus and
         # schema inference would return None
-        left_schema=pa.schema([("key", pa.int64()), ("src", pa.int64())]),
-        right_schema=pa.schema([("key", pa.int64()), ("dst", pa.int64())]),
-    ).select_columns(["src", "dst"])
+        left_schema=pa.schema([("key", pa.int64()), ("src", pa.int64()),
+                               ("href_url", pa.string())]),
+        right_schema=pa.schema([("key", pa.int64()), ("dst", pa.int64()),
+                                ("page_url", pa.string())]),
+    ).map_batches(
+        _p(_same_url, out=pa.schema([("src", pa.int64()), ("dst", pa.int64())])),
+        batch_format="pyarrow",
+    )
 
 
 def build_web_index(
@@ -154,25 +169,30 @@ def build_web_index(
 def _resolve_anchor_targets(links, pages, *, num_partitions: int | None = None):
     """(src, href, anchor) × pages(doc_id, url) → (doc_id=target, anchor):
     same co-partitioned canonical-url-hash join as ``resolve_links``
-    (ops/joins.inner_join_cp), carrying the anchor text."""
+    (ops/joins.inner_join_cp) and url check, carrying the anchor text."""
     from functools import partial as _p
 
     from bitfunnel_ray.ops.joins import inner_join_cp
 
     left = links.select_columns(["href", "anchor"]).map_batches(
         _p(_url_key_rows, col="href", id_col="doc_id", out="anchor",
-           payload_col="anchor"),
+           url_out="href_url", payload_col="anchor"),
         batch_format="pyarrow",
     )
     right = pages.select_columns(["doc_id", "url"]).map_batches(
-        _p(_url_key_rows, col="url", id_col="doc_id", out="doc_id"),
+        _p(_url_key_rows, col="url", id_col="doc_id", out="doc_id", url_out="page_url"),
         batch_format="pyarrow",
     )
     return inner_join_cp(
         left, right, key="key", num_partitions=num_partitions,
-        left_schema=pa.schema([("key", pa.int64()), ("anchor", pa.string())]),
-        right_schema=pa.schema([("key", pa.int64()), ("doc_id", pa.int64())]),
-    ).select_columns(["doc_id", "anchor"])
+        left_schema=pa.schema([("key", pa.int64()), ("anchor", pa.string()),
+                               ("href_url", pa.string())]),
+        right_schema=pa.schema([("key", pa.int64()), ("doc_id", pa.int64()),
+                                ("page_url", pa.string())]),
+    ).map_batches(
+        _p(_same_url, out=pa.schema([("doc_id", pa.int64()), ("anchor", pa.string())])),
+        batch_format="pyarrow",
+    )
 
 
 def load_static_rank(rank_path: str) -> dict:

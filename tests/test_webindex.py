@@ -229,6 +229,47 @@ def test_resolve_links_out_of_scope_dropped(ray_session):
     assert list(zip(out["src"], out["dst"])) == [(1, 2), (2, 3)]
 
 
+def test_url_hash_collision_makes_no_edge(ray_session, monkeypatch):
+    """Two distinct canonical urls with one 64-bit hash: the joins compare
+    the urls themselves, so no link or anchor reaches the wrong page.
+    The module is pickled by value, so the Ray workers run the patched
+    ``hash_terms``."""
+    import ray.cloudpickle as cp
+
+    from bitfunnel_ray.functions.hashing import hash_terms
+    from bitfunnel_ray.pipelines import webindex
+
+    two, three = "https://h1.example.org/doc/2", "https://h3.example.org/doc/3"
+
+    def colliding(terms, memoize=True):
+        arr = np.asarray(terms, dtype=object)
+        return hash_terms(np.where(arr == three, two, arr), memoize=memoize)
+
+    assert colliding([three])[0] == colliding([two])[0]
+    monkeypatch.setattr(webindex, "hash_terms", colliding)
+    links = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2], pa.int64()),
+                "href": [two, three],
+                "anchor": ["to two", "to three"],
+            }
+        )
+    )
+    pages = rd.from_arrow(
+        pa.table({"doc_id": pa.array([2, 3], pa.int64()), "url": [two, three]})
+    )
+    cp.register_pickle_by_value(webindex)
+    try:
+        edges = resolve_links(links, pages).to_pandas()
+        anchors = webindex._resolve_anchor_targets(links, pages).to_pandas()
+    finally:
+        cp.unregister_pickle_by_value(webindex)
+    assert sorted(zip(edges["src"], edges["dst"])) == [(1, 2), (2, 3)]
+    assert sorted(zip(anchors["doc_id"], anchors["anchor"])) == [
+        (2, "to two"), (3, "to three")]
+
+
 def test_blended_orphan_prior_is_rank_floor(webidx):
     """A matched doc missing from the rank table gets the MINIMUM
     achieved rank as its prior (an earlier default of 1 buried orphans
