@@ -38,9 +38,10 @@ import pyarrow.parquet as pq
 from bitfunnel_ray.build import segment as seglib
 from bitfunnel_ray.build.encode import decode_chunk
 from bitfunnel_ray.functions.hashing import murmur64a, ngram_hash
-from bitfunnel_ray.query import ast
+from bitfunnel_ray.query import ast, wand
 from bitfunnel_ray.query.parser import parse_query
 from bitfunnel_ray.query.vocab import Vocab
+from bitfunnel_ray.query.wand import _TermCursor, topk_order
 
 
 class _Segment:
@@ -689,7 +690,7 @@ class QueryAlgebra:
             key = np.where(np.isnan(key), np.inf, key)
             order = np.lexsort((matches, key))[:k]
         else:
-            order = np.lexsort((matches, -scores))[:k]
+            order = topk_order(scores, matches, k)
         doc_ids = matches[order]
         cols = {
             "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
@@ -707,10 +708,8 @@ class QueryAlgebra:
     def match_count(self, query: str) -> int:
         return int(len(self.eval(self._parse_rewritten(query))))
 
-    # --- ranked disjunctive top-k (block-max WAND fast path) --------------
+    # --- ranked disjunctive top-k (vectorized block-max fast path) --------
     def _term_cursor(self, text: str):
-        from bitfunnel_ray.query.wand import _TermCursor
-
         p = self.term_postings(text)
         if not p.df:
             return None
@@ -729,7 +728,13 @@ class QueryAlgebra:
             starts = np.arange(0, len(contrib), bs)
             last = p.doc_ids[np.minimum(starts + bs - 1, len(contrib) - 1)]
             ub = np.maximum.reduceat(contrib, starts)
-        return _TermCursor(p.doc_ids, contrib, last, ub)
+        doc_ids = p.doc_ids
+        if self.tombstones is not None:
+            # dead postings leave the list, so the threshold is taken over
+            # live documents only; the block bounds stay safe upper bounds
+            live = ~np.isin(doc_ids, self.tombstones, assume_unique=True)
+            doc_ids, contrib = doc_ids[live], contrib[live]
+        return _TermCursor(doc_ids, contrib, last, ub)
 
     def topk_or(
         self,
@@ -739,29 +744,26 @@ class QueryAlgebra:
         after: tuple[float, int] | None = None,
     ) -> pa.Table:
         """Exact top-k under disjunctive (sum over matching terms) BM25 —
-        WAND skips blocks that cannot beat the running threshold; with
-        ``use_wand=False`` scores the full union exhaustively (used by
-        tests to prove WAND exactness).
+        the block-max kernel (``query/wand.py``) drops blocks whose upper
+        bound cannot reach a lower bound on the k-th score, then scores
+        what is left in one vectorized pass; with ``use_wand=False`` scores
+        the full union exhaustively (the reference the kernel is tested
+        against).
 
         ``after`` is the search-after cursor (see ``search``).  On the
-        WAND path it filters at heap-insert time — it must NOT seed the
-        skip threshold, since page-2 documents score BELOW the cursor and
-        a threshold of cursor-score would skip exactly the blocks that
-        hold them.  The efficiency win of a cursor is that the heap stays
-        k-sized at any page depth (offset paging needs offset+k).
+        kernel path it filters the scored documents and turns pruning off:
+        page-2 documents score BELOW the cursor, so a threshold taken over
+        the whole union could drop exactly the blocks that hold them.
 
         Tombstoned docs are excluded before ranking."""
-        from bitfunnel_ray.query.wand import wand_topk
-
         seen = set()
         uniq = [t for t in terms if not (t in seen or seen.add(t))]
-        if use_wand and self.tombstones is None:
+        if use_wand:
             # canonical (hash) order so accumulation matches score() exactly
             uniq_sorted = sorted(uniq, key=murmur64a)
             cursors = [c for c in (self._term_cursor(t) for t in uniq_sorted) if c]
-            pairs = wand_topk(cursors, k, after=after)
-            doc_ids = np.array([d for _, d in pairs], dtype=np.uint64)
-            scores = np.array([s for s, _ in pairs], dtype=np.float64)
+            # looked up on the module at call time, so a tracer can wrap it
+            doc_ids, scores = wand.wand_topk(cursors, k, after=after)
         else:
             node = ast.Or(tuple(ast.Term(t) for t in uniq)) if len(uniq) > 1 else ast.Term(uniq[0])
             matches = self.eval(node)
@@ -770,7 +772,7 @@ class QueryAlgebra:
                 s0, d0 = float(after[0]), np.uint64(after[1])
                 keep = (sc < s0) | ((sc == s0) & (matches > d0))
                 matches, sc = matches[keep], sc[keep]
-            order = np.lexsort((matches, -sc))[:k]
+            order = topk_order(sc, matches, k)
             doc_ids, scores = matches[order], sc[order]
         return pa.table(
             {
@@ -815,8 +817,7 @@ class QueryAlgebra:
             decoded.append((p.doc_ids, contrib))
             if len(contrib) > t:
                 # top-t by contribution, ties broken toward lower doc_id
-                top = np.lexsort((p.doc_ids, -contrib))[:t]
-                cands.append(p.doc_ids[top])
+                cands.append(p.doc_ids[topk_order(contrib, p.doc_ids, t)])
             else:
                 cands.append(p.doc_ids)
         if not cands:
@@ -836,7 +837,7 @@ class QueryAlgebra:
             pos_c = np.minimum(pos, len(doc_ids) - 1)
             hit = doc_ids[pos_c] == cand
             scores[hit] += contrib[pos_c[hit]]
-        order = np.lexsort((cand, -scores))[:k]
+        order = topk_order(scores, cand, k)
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
@@ -897,7 +898,7 @@ class QueryAlgebra:
             hit = docs[pos_c] == p.doc_ids
             tfv[pos_c[hit]] = p.tf[hit].astype(np.float64)
             scores += np.log((tfv + mu_p) / denom)
-        order = np.lexsort((docs, -scores))[:k]
+        order = topk_order(scores, docs, k)
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),

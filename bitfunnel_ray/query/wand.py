@@ -1,146 +1,104 @@
-"""Block-max WAND top-k for ranked disjunctive queries.
+"""Vectorized block-max top-k for ranked disjunctive queries.
 
-This is the performance analog of the reference's RankDown skipping: the
-reference walks coarse high-rank rows first so whole 2^rank-document
-regions can be skipped when a quadword is zero
-(reference: src/Plan/src/RankDownCompiler.cpp,
-src/Plan/src/ByteCodeInterpreter.cpp:237-247).  Here the per-block
-``last_doc``/``max_tfn`` metadata written at encode time
-(bitfunnel_ray/build/encode.py) plays the coarse-row role: a block whose
-upper-bound score cannot beat the current top-k threshold is skipped
-without decoding.
+The analog of the reference's RankDown skipping
+(src/Plan/src/RankDownCompiler.cpp): the per-block ``last_doc``/
+``max_tfn`` metadata written at encode time (bitfunnel_ray/build/encode.py)
+lets a block whose upper-bound score cannot reach a lower bound on the
+k-th score be dropped before scoring.  ``wand_topk`` is four array steps,
+no per-document loop (the threshold pruning of SAP, ICDE 2018):
 
-Algorithm: document-at-a-time WAND (Broder et al. 2003, public) with
-block-max refinement (Ding & Suel 2011, public).  Exactness contract:
-returns exactly the same top-k (score desc, doc_id asc) as the
-exhaustive union scorer — upper bounds are safe because idf*(k1+1)*
-max_tfn ≥ every in-block contribution (max_tfn stored as float64 from
-the same float64 tfn the scorer computes; cross-segment avgdl drift is
-compensated by a monotone inflation factor).
+1. threshold: θ = the largest, over the lists, of each list's k-th
+   largest contribution.  Precondition: contributions are ≥ 0 (BM25
+   idf = log(1 + x) > 0), so a score is at least each of its
+   contributions and θ ≤ the k-th score.
+2. prune: a list keeps a block only if the block's bound plus every other
+   list's max bound reaches θ.  A document scoring ≥ θ keeps all of its
+   postings, so its score is exact; any other is left with a partial
+   score < θ and cannot be selected.
+3. accumulate: ``np.bincount`` over the kept postings in cursor order
+   adds from 0.0 in input order, the exhaustive scorer's float adds when
+   callers pass the canonical (gram, hash) order: bit-identical scores.
+4. select: ``topk_order`` (score desc, doc_id asc).
+
+Block bounds idf*(k1+1)*max_tfn are ≥ every in-block contribution
+(max_tfn is the same float64 tfn the scorer computes; cross-segment avgdl
+drift is compensated by a monotone inflation factor).
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+
+# prune-test slack, relative to the sum of all bounds: covers the float
+# rounding of the bound sums and of the scorer's own sums
+_SLACK = 1e-9
+
+
+def topk_order(scores: np.ndarray, doc_ids: np.ndarray, k: int) -> np.ndarray:
+    """Row indices of the top ``k`` under (score desc, doc_id asc) — the
+    same order as ``np.lexsort((doc_ids, -scores))[:k]``, but only the
+    rows tied with or above the k-th score are sorted."""
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    neg = -scores
+    if k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        # ~(>) rather than <=: a NaN k-th score keeps every row
+        cand = np.flatnonzero(~(neg > kth))
+        return cand[np.lexsort((doc_ids[cand], neg[cand]))[:k]]
+    return np.lexsort((doc_ids, neg))
 
 
 class _TermCursor:
-    """Decoded posting list + block metadata cursor for one query term."""
+    """Decoded posting list + block metadata for one query term."""
 
-    __slots__ = ("doc_ids", "contrib", "block_last", "block_ub", "pos", "n", "max_ub")
+    __slots__ = ("doc_ids", "contrib", "block_last", "block_ub", "max_ub")
 
     def __init__(self, doc_ids, contrib, block_last, block_ub):
         self.doc_ids = doc_ids
-        self.contrib = contrib  # exact per-posting score contribution
+        self.contrib = contrib  # exact per-posting score contribution, ≥ 0
         self.block_last = block_last
         self.block_ub = block_ub  # per-block upper bound on contrib
-        self.pos = 0
-        self.n = len(doc_ids)
         self.max_ub = float(block_ub.max()) if len(block_ub) else 0.0
-
-    def current(self) -> int:
-        return int(self.doc_ids[self.pos]) if self.pos < self.n else -1
-
-    def seek(self, target: int) -> None:
-        """Advance to first doc >= target (galloping via searchsorted)."""
-        if self.pos < self.n and self.doc_ids[self.pos] < target:
-            # np.uint64 key: python-int scalars get promoted via float64
-            self.pos += int(
-                np.searchsorted(self.doc_ids[self.pos :], np.uint64(target), side="left")
-            )
-
-    def block_upper(self) -> float:
-        """Upper bound of the block containing the current position."""
-        if self.pos >= self.n:
-            return 0.0
-        b = int(np.searchsorted(self.block_last, self.doc_ids[self.pos], side="left"))
-        return float(self.block_ub[min(b, len(self.block_ub) - 1)])
 
 
 def wand_topk(
     cursors: list[_TermCursor],
     k: int,
     after: tuple[float, int] | None = None,
-) -> list[tuple[float, int]]:
-    """Document-at-a-time block-max WAND.  Returns [(score, doc_id)] of the
-    exact top-k under (score desc, doc_id asc).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k (score desc, doc_id asc) of the disjunction as
+    ``(doc_ids, scores)`` arrays.
 
     ``after=(score, doc_id)`` — search-after cursor: only documents
-    strictly later in the total order are eligible.  Applied at
-    heap-insert time, NOT as the initial skip threshold: page-2 documents
-    score below the cursor, so seeding the threshold with the cursor
-    score would skip exactly the blocks that hold them.  The skip
-    threshold still rises normally once the heap holds k eligible docs,
-    so deep pages skip as aggressively as page 1 does — with a k-sized
-    heap instead of offset+k."""
-    cursors = [c for c in cursors if c.n]
-    aft = None if after is None else (float(after[0]), int(after[1]))
-    # pivot evaluation walks `cursors` in the order given — callers pass the
-    # canonical (gram, hash) order so float accumulation matches the
-    # exhaustive scorer bit-for-bit
-    heap: list[tuple[float, int]] = []  # min-heap of (score, -doc_id)
-    threshold = -np.inf
-    while True:
-        live = [c for c in cursors if c.pos < c.n]
-        if not live:
-            break
-        live.sort(key=lambda c: c.current())
-        # pivot: first term where cumulative global UB exceeds threshold
-        acc = 0.0
-        pivot_idx = -1
-        # note: >= (not >) so score-ties can still displace a larger doc_id
-        # (tie-break is score desc, doc_id asc)
-        for i, c in enumerate(live):
-            acc += c.max_ub
-            if acc >= threshold:
-                pivot_idx = i
-                break
-        if pivot_idx < 0:
-            break  # no document can beat the threshold
-        pivot_doc = live[pivot_idx].current()
-        # absorb every list already positioned AT the pivot document — they
-        # can all contribute to it, so the skip bound must include them
-        while pivot_idx + 1 < len(live) and live[pivot_idx + 1].current() == pivot_doc:
-            pivot_idx += 1
-        # block-max refinement: tighter UB at the pivot document
-        block_acc = 0.0
-        for c in live[: pivot_idx + 1]:
-            block_acc += c.block_upper()
-        if block_acc < threshold:
-            # skip: advance the lowest cursor past min block boundary
-            boundary = pivot_doc
-            for c in live[: pivot_idx + 1]:
-                b = int(np.searchsorted(c.block_last, np.uint64(c.current()), side="left"))
-                if b < len(c.block_last):
-                    boundary = min(boundary, int(c.block_last[b]))
-            for c in live[: pivot_idx + 1]:
-                c.seek(boundary + 1)
-            continue
-        if live[0].current() == pivot_doc:
-            # fully evaluate pivot_doc (canonical cursor order, see above)
-            score = 0.0
-            for c in cursors:
-                if c.pos < c.n and c.current() == pivot_doc:
-                    score += float(c.contrib[c.pos])
-                    c.pos += 1
-            # search-after: docs at-or-before the cursor in (score desc,
-            # doc_id asc) order were served on an earlier page
-            if aft is not None and (
-                score > aft[0] or (score == aft[0] and pivot_doc <= aft[1])
-            ):
-                continue
-            item = (score, -pivot_doc)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-            if len(heap) == k:
-                threshold = heap[0][0]
-        else:
-            # align cursors before the pivot onto it
-            for c in live[:pivot_idx]:
-                c.seek(pivot_doc)
-    out = sorted(heap, key=lambda t: (-t[0], -t[1]))
-    return [(s, -nd) for s, nd in out]
+    strictly later in the total order are eligible.  It disables pruning:
+    page-2 documents score below the cursor, so a θ taken over the whole
+    union could drop exactly the blocks that hold them."""
+    if not cursors:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
+    theta = -np.inf
+    if after is None and k > 0:
+        for c in cursors:
+            if len(c.contrib) >= k:
+                theta = max(theta, float(np.partition(c.contrib, -k)[-k]))
+    total_ub = sum(c.max_ub for c in cursors)
+    floor = theta - _SLACK * total_ub
+    ids, contrib = [], []
+    for c in cursors:
+        d, w = c.doc_ids, c.contrib
+        if theta > -np.inf:
+            keep_block = c.block_ub + (total_ub - c.max_ub) >= floor
+            if not keep_block.all():
+                blk = np.searchsorted(c.block_last, d, side="left")
+                keep = keep_block[np.minimum(blk, len(keep_block) - 1)]
+                d, w = d[keep], w[keep]
+        ids.append(d)
+        contrib.append(w)
+    docs, inv = np.unique(np.concatenate(ids), return_inverse=True)
+    scores = np.bincount(inv, weights=np.concatenate(contrib), minlength=len(docs))
+    if after is not None:
+        s0, d0 = float(after[0]), np.uint64(after[1])
+        keep = (scores < s0) | ((scores == s0) & (docs > d0))
+        docs, scores = docs[keep], scores[keep]
+    order = topk_order(scores, docs, k)
+    return docs[order], scores[order]

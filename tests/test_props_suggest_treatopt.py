@@ -63,7 +63,7 @@ band_row_st = st.tuples(
     st.integers(min_value=0, max_value=60),  # idf (descending later)
     st.integers(min_value=1, max_value=10**6),  # df_ub
     st.sampled_from([64, 128, 256, 512]),
-    st.sampled_from(["varint", "pfor", "ef"]),
+    st.sampled_from(["varint", "ef"]),
 )
 
 
