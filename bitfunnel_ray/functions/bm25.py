@@ -16,6 +16,15 @@ terms t contained in doc of::
     s(t,d)   = idf(t) * (k1 + 1) * tfn(t,d)
 
 ties broken (score desc, doc_id asc).
+
+This module is the one place that formula is written.  The serving
+engines never re-derive it per request: ``query/engine.py`` ``Postings``
+memoizes ``score_contrib`` over a whole posting list (its impact array),
+keyed by every input (df, N, avgdl, k1, b), and scoring gathers from that
+array.  The element-wise float64 recipe is the same whether it runs over
+the full list or over a gathered subset, so the memo changes no score
+bit.  Upper bounds on a contribution (block-max and shard bounds) are
+``term_weight(df, N, k1) * max_tfn``.
 """
 
 from __future__ import annotations
@@ -38,6 +47,11 @@ def tf_norm(
     return tf / (tf + k1 * (1.0 - b + b * dl / avgdl))
 
 
+def term_weight(df: float, n_docs: float, k1: float = 1.2) -> float:
+    """idf(t) * (k1 + 1): a term's contribution per unit of tfn."""
+    return float(idf(df, n_docs)) * (k1 + 1.0)
+
+
 def score_contrib(
     tf: np.ndarray,
     doclen: np.ndarray,
@@ -48,7 +62,7 @@ def score_contrib(
     b: float = 0.75,
 ) -> np.ndarray:
     """Per-posting BM25 contribution of one term."""
-    return float(idf(df, n_docs)) * (k1 + 1.0) * tf_norm(tf, doclen, avgdl, k1, b)
+    return term_weight(df, n_docs, k1) * tf_norm(tf, doclen, avgdl, k1, b)
 
 
 # --- reference IDF quantization parity (Term.cpp:232-325) ----------------

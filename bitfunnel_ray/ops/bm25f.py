@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from bitfunnel_ray.functions import bm25
 from bitfunnel_ray.stages.tokenize import flat_tokens
 
 
@@ -81,7 +82,7 @@ def _score_block(
         np.add.at(tf, (doc_of[m], ti[m]), 1.0)
         norm = 1.0 - b + b * (doclen.astype(np.float64) / avgdl[col])
         tfh += w * (tf / norm[:, None])
-    idf = np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+    idf = bm25.idf(df, n_docs)
     score = (idf[None, :] * (tfh / (k1 + tfh))).sum(axis=1)
     hit = (tfh > 0).any(axis=1)
     if not hit.any():

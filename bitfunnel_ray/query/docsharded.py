@@ -39,9 +39,11 @@ import pyarrow as pa
 import ray
 
 from bitfunnel_ray.build import segment as seglib
+from bitfunnel_ray.functions.bm25 import term_weight
 from bitfunnel_ray.query import ast
 from bitfunnel_ray.query.parser import parse_query
 from bitfunnel_ray.query.vocab import gather
+from bitfunnel_ray.query.wand import topk_order
 
 
 @ray.remote(max_concurrency=4)
@@ -97,7 +99,6 @@ class DocShardActor:
         node = eng._parse_rewritten(query)
         boosts = eng.scoring_boosts(node)
         dfm = {(int(h), int(g)): int(v) for (h, g), v in df_map.items()}
-        k1 = eng.k1
         total = 0.0
         for h, g in eng.scoring_terms(node):
             best = 0.0
@@ -116,9 +117,7 @@ class DocShardActor:
             df = dfm.get((int(h), int(g)), 0)
             if df <= 0:
                 continue
-            idf = float(np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0))
-            mult = boosts.get((h, g), 1.0)
-            total += idf * (k1 + 1.0) * best * mult
+            total += term_weight(df, n_docs, eng.k1) * best * boosts.get((h, g), 1.0)
         return total
 
     def search_topk_many(
@@ -280,7 +279,7 @@ class DocShardedServer:
         )
         doc_ids = np.concatenate([d for d, _ in parts]) if parts else np.empty(0, np.uint64)
         scores = np.concatenate([s for _, s in parts]) if parts else np.empty(0, np.float64)
-        order = np.lexsort((doc_ids, -scores))[:k]
+        order = topk_order(scores, doc_ids, k)
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
@@ -529,7 +528,7 @@ class DocShardedServer:
         scores = (
             np.concatenate(score_parts) if score_parts else np.empty(0, np.float64)
         )
-        order_f = np.lexsort((doc_ids, -scores))[:k]
+        order_f = topk_order(scores, doc_ids, k)
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, len(order_f) + 1, dtype=np.uint32)),
@@ -625,7 +624,7 @@ class _DocShardedFront:
         for qi in range(len(qs)):
             doc_ids = np.concatenate([shard[qi][0] for shard in parts])
             scores = np.concatenate([shard[qi][1] for shard in parts])
-            order = np.lexsort((doc_ids, -scores))[: self.k]
+            order = topk_order(scores, doc_ids, self.k)
             out_qid.extend([qids[qi]] * len(order))
             out_rank.extend(range(1, len(order) + 1))
             out_doc.extend(doc_ids[order].tolist())

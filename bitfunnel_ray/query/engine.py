@@ -11,7 +11,8 @@ set algebra in numpy:
 - Phrase   → AND of all 1..max_gram sliding-window terms — the reference's
   unordered co-occurrence semantics, reproduced exactly
   (TermMatchTreeConverter.cpp:156-179 + ProcessNGramBuffer:216-229);
-- AND/OR/NOT → sorted-array intersect/union/difference
+- AND/OR/NOT → sorted-array intersect/union/difference: the shortest
+  list binary-searched into the others, one sort per OR
   (ByteCodeInterpreter AndRow/Or/Not, :183-276);
 - soft delete → tombstone doc_id set subtracted from every match set (the
   DocumentActive row analog, Ingestor.cpp:302-327).
@@ -28,6 +29,7 @@ once per actor; queries then run against read-only in-memory state.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -37,6 +39,7 @@ import pyarrow.parquet as pq
 
 from bitfunnel_ray.build import segment as seglib
 from bitfunnel_ray.build.encode import decode_chunk
+from bitfunnel_ray.functions import bm25
 from bitfunnel_ray.functions.hashing import murmur64a, ngram_hash
 from bitfunnel_ray.query import ast, wand
 from bitfunnel_ray.query.parser import parse_query
@@ -142,13 +145,30 @@ class Postings:
 
     ``block_last``/``block_max_tfn`` are the build-time block-max skip
     metadata (None when segments interleaved at merge — the WAND path then
-    recomputes exact blocks from the decoded list)."""
+    recomputes exact blocks from the decoded list).
 
-    __slots__ = ("doc_ids", "tf", "doclen", "df", "block_last", "block_max_tfn")
+    ``impacts(...)`` is the list's impact array: every posting's BM25
+    contribution (``bm25.score_contrib``), built on first use and memoized
+    under the full key (df, n_docs, avgdl, k1, b).  The key carries all
+    of them because the same cached object serves changing statistics: a
+    doc-shard engine scores under each request's global df / n_docs /
+    avgdl, and ``refresh`` moves avgdl.  Memo and key are one tuple, so a
+    concurrent reader never pairs an array with another key."""
+
+    __slots__ = ("doc_ids", "tf", "doclen", "df", "block_last", "block_max_tfn", "_impacts")
 
     def __init__(self, doc_ids, tf, doclen, df, block_last=None, block_max_tfn=None):
         self.doc_ids, self.tf, self.doclen, self.df = doc_ids, tf, doclen, df
         self.block_last, self.block_max_tfn = block_last, block_max_tfn
+        self._impacts = None
+
+    def impacts(self, df, n_docs, avgdl, k1, b) -> np.ndarray:
+        key = (df, n_docs, avgdl, k1, b)
+        memo = self._impacts
+        if memo is None or memo[0] != key:
+            memo = (key, bm25.score_contrib(self.tf, self.doclen, *key))
+            self._impacts = memo
+        return memo[1]
 
 
 _EMPTY = Postings(
@@ -173,6 +193,70 @@ def merge_chunks(parts, metas) -> Postings:
         docs, tf, dl = docs[order], tf[order], dl[order]
         block_last = block_ub = None  # interleaved: metadata invalid
     return Postings(docs, tf, dl, len(docs), block_last, block_ub)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _term_key(text: str, stream: int = 0) -> "tuple[int, int]":
+    """(stored hash, gram) of a unigram: general hash = rawHash + streamId
+    (ComputeGeneralHash parity).  A bounded memo, so a query term is
+    hashed once rather than at every walk of its AST."""
+    return ((murmur64a(text) + stream) & 0xFFFFFFFFFFFFFFFF, 1)
+
+
+def _windows(n: int, max_gram: int) -> "list[tuple[int, int]]":
+    """(start, length) of every 1..max_gram sliding window over n tokens."""
+    return [(i, g) for i in range(n) for g in range(1, min(max_gram, n - i) + 1)]
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _phrase_keys(tokens: "tuple[str, ...]", stream: int, max_gram: int):
+    """(hash, gram) of every window of a phrase — exactly the reference's
+    ring-buffer emission (TermMatchTreeConverter::ProcessNGramBuffer);
+    stream folded into each gram's stored hash."""
+    h1 = [_term_key(t)[0] for t in tokens]
+    return tuple(
+        ((ngram_hash(h1[i : i + g]) + stream) & 0xFFFFFFFFFFFFFFFF, g)
+        for i, g in _windows(len(tokens), max_gram)
+    )
+
+
+def _leaves(node: "ast.Node", negated: bool = False):
+    """(leaf, negated) for every Term and Phrase leaf; negated = under an
+    odd number of Nots."""
+    if isinstance(node, ast.Not):
+        yield from _leaves(node.child, not negated)
+    elif isinstance(node, (ast.And, ast.Or, ast.AtLeast)):
+        for c in node.children:
+            yield from _leaves(c, negated)
+    elif isinstance(node, (ast.Term, ast.Phrase)):
+        yield node, negated
+
+
+def _member(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``m`` found in sorted ``d``: ``m``
+    is probed into ``d`` by binary search (small-into-large, as in HERO),
+    so neither list is merged or sorted."""
+    if not len(d):
+        return np.zeros(len(m), dtype=bool)
+    idx = np.searchsorted(d, m)
+    idx[idx == len(d)] = 0
+    return d[idx] == m
+
+
+def _intersect(lists: "list[np.ndarray]") -> np.ndarray:
+    """Intersection of sorted unique arrays, shortest probed into the rest."""
+    lists = sorted(lists, key=len)
+    m = lists[0]
+    for d in lists[1:]:
+        if not len(m):
+            break
+        m = m[_member(m, d)]
+    return m
+
+
+def _union(lists: "list[np.ndarray]") -> np.ndarray:
+    """Union of sorted unique arrays: one sort of their concatenation."""
+    return np.unique(np.concatenate(lists)) if lists else np.empty(0, np.uint64)
 
 
 class QueryAlgebra:
@@ -239,8 +323,7 @@ class QueryAlgebra:
         return (v >= lo) & (v < hi)  # NaN (null) compares False: excluded
 
     def term_postings(self, text: str, stream: int = 0) -> Postings:
-        # general hash = rawHash + streamId (ComputeGeneralHash parity)
-        return self.postings((murmur64a(text) + stream) & 0xFFFFFFFFFFFFFFFF, 1)
+        return self.postings(*_term_key(text, stream))
 
     # --- vocabulary: suggest, fuzzy ``term~d`` and "did you mean" ---------
     # dictionaries store hashes, not text, so these surfaces need a (term,
@@ -353,59 +436,23 @@ class QueryAlgebra:
         return node
 
     # --- term extraction --------------------------------------------------
-    def _phrase_grams(self, tokens: tuple[str, ...], stream: int = 0) -> list[tuple[int, int]]:
-        """All 1..max_gram sliding-window (hash, gram) pairs of a phrase —
-        exactly the reference's ring-buffer emission
-        (TermMatchTreeConverter::ProcessNGramBuffer); stream folded into
-        each gram's stored hash."""
-        h1 = [murmur64a(t) for t in tokens]
-        out = []
-        n = len(tokens)
-        for i in range(n):
-            for g in range(1, min(self.max_gram, n - i) + 1):
-                out.append(((ngram_hash(h1[i : i + g]) + stream) & 0xFFFFFFFFFFFFFFFF, g))
-        return out
+    def _leaf_keys(self, leaf: "ast.Term | ast.Phrase") -> "tuple[tuple[int, int], ...]":
+        """The (hash, gram) keys of one Term or Phrase leaf."""
+        if isinstance(leaf, ast.Term):
+            return (_term_key(leaf.text, leaf.stream),)
+        return _phrase_keys(tuple(leaf.tokens), leaf.stream, self.max_gram)
 
     def query_pairs(self, node: ast.Node) -> "list[tuple[int, int]]":
         """Every (hash, gram) a query's evaluation will touch (positive AND
         negated terms — eval needs both).  This is the PLAN phase's work
         list: the runner resolves these against storage (dict lookup +
         decode, or one batched RPC per shard) before matching."""
-        acc: set[tuple[int, int]] = set()
-
-        def walk(n):
-            if isinstance(n, ast.Not):
-                walk(n.child)
-            elif isinstance(n, (ast.And, ast.Or, ast.AtLeast)):
-                for c in n.children:
-                    walk(c)
-            elif isinstance(n, ast.Term):
-                acc.add(((murmur64a(n.text) + n.stream) & 0xFFFFFFFFFFFFFFFF, 1))
-            elif isinstance(n, ast.Phrase):
-                acc.update(self._phrase_grams(n.tokens, n.stream))
-
-        walk(node)
-        return sorted(acc)
+        return sorted({k for leaf, _neg in _leaves(node) for k in self._leaf_keys(leaf)})
 
     def scoring_terms(self, node: ast.Node) -> list[tuple[int, int]]:
         """Distinct positive (hash, gram) terms, ascending (gram, hash) —
         the canonical BM25 accumulation order."""
-        acc: set[tuple[int, int]] = set()
-
-        def walk(n: ast.Node, negated: bool):
-            if isinstance(n, ast.Not):
-                walk(n.child, not negated)
-            elif isinstance(n, (ast.And, ast.Or, ast.AtLeast)):
-                for c in n.children:
-                    walk(c, negated)
-            elif isinstance(n, ast.Term):
-                if not negated:
-                    acc.add(((murmur64a(n.text) + n.stream) & 0xFFFFFFFFFFFFFFFF, 1))
-            elif isinstance(n, ast.Phrase):
-                if not negated:
-                    acc.update(self._phrase_grams(n.tokens, n.stream))
-
-        walk(node, False)
+        acc = {k for leaf, neg in _leaves(node) if not neg for k in self._leaf_keys(leaf)}
         if self.fact_hashes:
             acc = {p for p in acc if p[0] not in self.fact_hashes}
         return sorted(acc, key=lambda p: (p[1], p[0]))
@@ -418,28 +465,10 @@ class QueryAlgebra:
         constituent gram.  Empty dict when nothing is boosted — the
         common case costs one AST walk and no score-path work."""
         boosts: dict[tuple[int, int], float] = {}
-
-        def put(key, b):
-            if b != 1.0:
-                boosts[key] = max(boosts.get(key, 1.0), b)
-
-        def walk(n, negated: bool):
-            if isinstance(n, ast.Not):
-                walk(n.child, not negated)
-            elif isinstance(n, (ast.And, ast.Or, ast.AtLeast)):
-                for c in n.children:
-                    walk(c, negated)
-            elif isinstance(n, ast.Term):
-                if not negated:
-                    put(((murmur64a(n.text) + n.stream) & 0xFFFFFFFFFFFFFFFF, 1),
-                        getattr(n, "boost", 1.0))
-            elif isinstance(n, ast.Phrase):
-                if not negated:
-                    b = getattr(n, "boost", 1.0)
-                    for key in self._phrase_grams(n.tokens, n.stream):
-                        put(key, b)
-
-        walk(node, False)
+        for leaf, neg in _leaves(node):
+            if not neg and leaf.boost != 1.0:
+                for key in self._leaf_keys(leaf):
+                    boosts[key] = max(boosts.get(key, 1.0), leaf.boost)
         return boosts
 
     # --- boolean evaluation ----------------------------------------------
@@ -447,7 +476,7 @@ class QueryAlgebra:
         """Sorted unique doc_id array matching the node."""
         m = self._eval(node)
         if self.tombstones is not None:
-            m = np.setdiff1d(m, self.tombstones, assume_unique=True)
+            m = m[~_member(m, self.tombstones)]
         return m
 
     def _eval(self, node: ast.Node) -> np.ndarray:
@@ -456,47 +485,22 @@ class QueryAlgebra:
         if isinstance(node, ast.Range):
             return self._range_docs(node.col, node.lo, node.hi)
         if isinstance(node, ast.Phrase):
-            grams = self._phrase_grams(node.tokens, node.stream)
-            lists = [self.postings(h, g).doc_ids for h, g in grams]
-            lists.sort(key=len)
-            m = lists[0]
-            for d in lists[1:]:
-                if not len(m):
-                    return m
-                m = np.intersect1d(m, d, assume_unique=True)
-            return m
+            return _intersect([self.postings(h, g).doc_ids for h, g in self._leaf_keys(node)])
         if isinstance(node, ast.And):
             pos = [c for c in node.children if not isinstance(c, ast.Not)]
-            neg = [c for c in node.children if isinstance(c, ast.Not)]
-            if pos:
-                lists = sorted((self._eval(c) for c in pos), key=len)
-                m = lists[0]
-                for d in lists[1:]:
-                    if not len(m):
-                        break
-                    m = np.intersect1d(m, d, assume_unique=True)
-                for c in neg:
-                    if not len(m):
-                        break
-                    m = np.setdiff1d(m, self._eval(c.child), assume_unique=True)
-            else:
+            neg = [c.child for c in node.children if isinstance(c, ast.Not)]
+            if not pos:
                 # pure-negative conjunction: ONE complement of the union of
                 # negated children (never materializes all_docs per child)
-                negs = np.empty(0, dtype=np.uint64)
-                for c in neg:
-                    negs = np.union1d(negs, self._eval(c.child))
-                m = self._complement(negs)
+                return self._complement(_union([self._eval(c) for c in neg]))
+            m = _intersect([self._eval(c) for c in pos])
+            for c in neg:
+                if not len(m):
+                    break
+                m = m[~_member(m, self._eval(c))]
             return m
         if isinstance(node, ast.Or):
-            m = np.empty(0, dtype=np.uint64)
-            for c in node.children:
-                d = (
-                    self._complement(self._eval(c.child))
-                    if isinstance(c, ast.Not)
-                    else self._eval(c)
-                )
-                m = np.union1d(m, d)
-            return m
+            return _union([self._eval(c) for c in node.children])
         if isinstance(node, ast.Not):
             return self._complement(self._eval(node.child))
         if isinstance(node, ast.AtLeast):
@@ -524,30 +528,33 @@ class QueryAlgebra:
             return p.df
         return int(o.get((int(h), int(g)), p.df))
 
+    def _impacts(self, df: int, p: Postings) -> np.ndarray:
+        """``p``'s impact array under this engine's current statistics."""
+        return p.impacts(df, self.n_docs, self.avgdl, self.k1, self.b)
+
     def score(self, node: ast.Node, matches: np.ndarray) -> np.ndarray:
-        """float64 BM25 score of each match (canonical accumulation order)."""
+        """float64 BM25 score of each match (canonical accumulation order):
+        per term, a gather from its impact array, added to the total."""
         scores = np.zeros(len(matches), dtype=np.float64)
         if not len(matches):
             return scores
-        k1, b = self.k1, self.b
         boosts = self.scoring_boosts(node)
         for h, g in self.scoring_terms(node):
             p = self.postings(h, g)
             if not p.df:
                 continue
-            idx = np.searchsorted(p.doc_ids, matches)
-            idx[idx == len(p.doc_ids)] = 0
-            present = p.doc_ids[idx] == matches
-            if not present.any():
-                continue
-            tf = p.tf[idx[present]].astype(np.float64)
-            dl = p.doclen[idx[present]].astype(np.float64)
-            df = self._df(h, g, p)
-            idf = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
-            tfn = tf / (tf + k1 * (1.0 - b + b * dl / self.avgdl))
-            contrib = idf * (k1 + 1.0) * tfn
+            imp = self._impacts(self._df(h, g, p), p)
+            if matches is p.doc_ids:  # a one-term query's own posting list
+                rows, contrib = slice(None), imp
+            else:
+                idx = np.searchsorted(p.doc_ids, matches)
+                idx[idx == len(p.doc_ids)] = 0
+                rows = p.doc_ids[idx] == matches
+                if rows.all():  # every match holds the term (a conjunct)
+                    rows = slice(None)
+                contrib = imp[idx[rows]]
             mult = boosts.get((h, g))
-            scores[present] += contrib * mult if mult is not None else contrib
+            scores[rows] += contrib * mult if mult is not None else contrib
         return scores
 
     # --- explain ----------------------------------------------------------
@@ -555,45 +562,27 @@ class QueryAlgebra:
         """(hash, gram) → human-readable label for every positive scoring
         term (phrases label their constituent 1..max_gram windows)."""
         labels: dict[tuple[int, int], str] = {}
-
-        def walk(n, negated: bool):
-            if isinstance(n, ast.Not):
-                walk(n.child, not negated)
-            elif isinstance(n, (ast.And, ast.Or, ast.AtLeast)):
-                for c in n.children:
-                    walk(c, negated)
-            elif isinstance(n, ast.Term):
-                if not negated:
-                    labels[
-                        ((murmur64a(n.text) + n.stream) & 0xFFFFFFFFFFFFFFFF, 1)
-                    ] = n.text
-            elif isinstance(n, ast.Phrase):
-                if not negated:
-                    toks = n.tokens
-                    h1 = [murmur64a(t) for t in toks]
-                    for g in range(1, min(self.max_gram, len(toks)) + 1):
-                        for i in range(len(toks) - g + 1):
-                            key = (
-                                (ngram_hash(h1[i : i + g]) + n.stream)
-                                & 0xFFFFFFFFFFFFFFFF,
-                                g,
-                            )
-                            labels[key] = " ".join(toks[i : i + g])
-
-        walk(node, False)
+        for leaf, neg in _leaves(node):
+            if neg:
+                continue
+            if isinstance(leaf, ast.Term):
+                labels[_term_key(leaf.text, leaf.stream)] = leaf.text
+            else:
+                toks = leaf.tokens
+                texts = (" ".join(toks[i : i + g]) for i, g in _windows(len(toks), self.max_gram))
+                labels.update(zip(self._leaf_keys(leaf), texts))
         return labels
 
     def explain(self, query: str, doc_id: int) -> pa.Table:
         """Per-term BM25 breakdown for one (query, doc) pair — the
         debugging surface every engine ships.  Columns (term, gram, tf,
-        doclen, df, idf, contribution); the SAME recipe and accumulation
-        order as ``score``, so contribution sums bit-exactly to the
-        document's score."""
+        doclen, df, idf, contribution); each contribution is the doc's
+        entry of the impact array ``score`` reads, boosted the same way,
+        so the contributions sum bit-exactly to the document's score."""
         node = self._parse_rewritten(query)
         labels = self.scoring_term_labels(node)
         boosts = self.scoring_boosts(node)
         doc = np.uint64(doc_id)
-        k1, b = self.k1, self.b
         terms, grams, tfs, dls, dfs, idfs, contribs = [], [], [], [], [], [], []
         for h, g in self.scoring_terms(node):
             p = self.postings(h, g)
@@ -602,18 +591,14 @@ class QueryAlgebra:
             i = int(np.searchsorted(p.doc_ids, doc))
             if i >= len(p.doc_ids) or p.doc_ids[i] != doc:
                 continue
-            tf = float(p.tf[i])
-            dl = float(p.doclen[i])
             df = self._df(h, g, p)
-            idf_v = float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
-            tfn = tf / (tf + k1 * (1.0 - b + b * dl / self.avgdl))
             terms.append(labels.get((h, g), f"0x{h:016x}"))
             grams.append(g)
-            tfs.append(int(tf))
-            dls.append(int(dl))
+            tfs.append(int(p.tf[i]))
+            dls.append(int(p.doclen[i]))
             dfs.append(int(df))
-            idfs.append(idf_v)
-            c = idf_v * (k1 + 1.0) * tfn
+            idfs.append(float(bm25.idf(df, self.n_docs)))
+            c = float(self._impacts(df, p)[i])
             mult = boosts.get((h, g))
             contribs.append(c * mult if mult is not None else c)
         return pa.table(
@@ -710,18 +695,14 @@ class QueryAlgebra:
 
     # --- ranked disjunctive top-k (vectorized block-max fast path) --------
     def _term_cursor(self, text: str):
-        p = self.term_postings(text)
+        h, g = _term_key(text)
+        p = self.postings(h, g)
         if not p.df:
             return None
-        k1, b = self.k1, self.b
-        # stream 0 — same key term_postings() hashed with
-        df = self._df(murmur64a(text) & 0xFFFFFFFFFFFFFFFF, 1, p)
-        idf = float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
-        tf = p.tf.astype(np.float64)
-        dl = p.doclen.astype(np.float64)
-        contrib = idf * (k1 + 1.0) * (tf / (tf + k1 * (1.0 - b + b * dl / self.avgdl)))
+        df = self._df(h, g, p)
+        contrib = self._impacts(df, p)
         if p.block_last is not None:
-            last, ub = p.block_last, idf * (k1 + 1.0) * p.block_max_tfn
+            last, ub = p.block_last, bm25.term_weight(df, self.n_docs, self.k1) * p.block_max_tfn
         else:
             # interleaved segments: recompute exact blocks from decoded list
             bs = 128
@@ -760,7 +741,7 @@ class QueryAlgebra:
         uniq = [t for t in terms if not (t in seen or seen.add(t))]
         if use_wand:
             # canonical (hash) order so accumulation matches score() exactly
-            uniq_sorted = sorted(uniq, key=murmur64a)
+            uniq_sorted = sorted(uniq, key=_term_key)
             cursors = [c for c in (self._term_cursor(t) for t in uniq_sorted) if c]
             # looked up on the module at call time, so a tracer can wrap it
             doc_ids, scores = wand.wand_topk(cursors, k, after=after)
@@ -799,21 +780,15 @@ class QueryAlgebra:
         uniq = [x for x in terms if not (x in seen or seen.add(x))]
         # canonical (hash) accumulation order → scores bit-identical to the
         # exact engine's for every candidate it shares
-        uniq.sort(key=murmur64a)
-        k1, b = self.k1, self.b
+        uniq.sort(key=_term_key)
         decoded = []
         cands = []
         for text in uniq:
-            p = self.term_postings(text)
+            h, g = _term_key(text)
+            p = self.postings(h, g)
             if not p.df:
                 continue
-            df = self._df(murmur64a(text) & 0xFFFFFFFFFFFFFFFF, 1, p)
-            idf = float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
-            tf = p.tf.astype(np.float64)
-            dl = p.doclen.astype(np.float64)
-            contrib = idf * (k1 + 1.0) * (
-                tf / (tf + k1 * (1.0 - b + b * dl / self.avgdl))
-            )
+            contrib = self._impacts(self._df(h, g, p), p)
             decoded.append((p.doc_ids, contrib))
             if len(contrib) > t:
                 # top-t by contribution, ties broken toward lower doc_id

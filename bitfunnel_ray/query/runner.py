@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray.data
 
 from bitfunnel_ray.query.engine import SearchEngine
+from bitfunnel_ray.query.wand import topk_order
 
 
 def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Table:
@@ -90,7 +91,7 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
             matches = engine.eval(node)
             t2 = time.perf_counter()
             scores = engine.score(node, matches)
-            order = np.lexsort((matches, -scores))[:k]
+            order = topk_order(scores, matches, k)
             t3 = time.perf_counter()
             emit(
                 qid, t0, base,

@@ -209,6 +209,32 @@ def test_explain_sums_to_score(idx):
         assert all(t for t in exp["term"].to_pylist())  # labeled, no raw hashes
 
 
+def test_explain_boosted_sums_to_score(idx):
+    """A boosted term's explain row is its unboosted contribution times
+    the boost (every gram of a boosted phrase), and the rows still sum
+    bit-exactly to the document's score."""
+    eng = SearchEngine(idx, load_urls=False)
+    cases = [
+        ("spark^2.5 join", "spark join", {"spark": 2.5}),
+        ("spark^2 | merge", "spark | merge", {"spark": 2.0}),
+        ('"batch batch"^3', '"batch batch"', {"batch": 3.0, "batch batch": 3.0}),
+    ]
+    checked = 0
+    for q, plain, boosts in cases:
+        res = eng.search(q, k=1)
+        if res.num_rows == 0:
+            continue
+        doc = res["doc_id"][0].as_py()
+        exp = eng.explain(q, doc).to_pydict()
+        base = eng.explain(plain, doc).to_pydict()
+        assert exp["term"] == base["term"], q
+        assert sum(exp["contribution"]) == res["score"][0].as_py(), q
+        for term, c, c0 in zip(exp["term"], exp["contribution"], base["contribution"]):
+            assert c == c0 * boosts.get(term, 1.0), (q, term)
+        checked += 1
+    assert checked == len(cases)
+
+
 def test_query_phase_split_sums_to_latency(tmp_path):
     """parse/plan/match/score phase columns exist and plan+match+score ≈
     the independently measured latency_s (QuerySummaryStatistics analog)."""
