@@ -4,7 +4,8 @@ src/Index/src/Ingestor.cpp:210-269, src/Index/src/TermTableBuilder.cpp:68-434).
 
 Where the reference routes each document through shared mutable state
 (shard slice locks, interlocked SetBit, a global-mutex docfreq hashmap —
-SURVEY.md §4 contention points), this build is streaming Dataset passes
+SURVEY.md §4 contention points), this build is two streaming Dataset
+passes over the corpus and one wave of plain Ray tasks over the buckets,
 with no shared mutable state:
 
 1. head-term pass  — optional df scan to find terms with df >
@@ -21,7 +22,9 @@ with no shared mutable state:
                      With the vocab sidecar, each batch's unigram
                      (term, df) partial is spilled by stripe next to the
                      postings.
-3. encode pass     — one task per bucket reads its spill shards (row
+3. encode wave     — one plain Ray task per group of buckets
+                     (``ops.exchange.fan_out``: the bucket ids are known
+                     to the driver, so no Dataset) reads its spill shards (row
                      counts cross-checked against the map acks), encodes
                      with the cache-blocked kernel, writes one dict
                      parquet per bucket, atomically renamed (resume unit),
@@ -48,6 +51,7 @@ from bitfunnel_ray.build import segment
 from bitfunnel_ray.build.encode import check_bands, encode_bucket
 from bitfunnel_ray.build.stats import PartialTermStats
 from bitfunnel_ray.config import EngineConfig
+from bitfunnel_ray.ops.exchange import fan_out
 from bitfunnel_ray.stages.tokenize import tokenize_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -429,28 +433,31 @@ def _encode_num_cpus(cfg: EngineConfig) -> float:
     return float(cfg.extra.get("encode_num_cpus", 2 if cpus >= 16 else 1))
 
 
-def _encode_batch_size(per_bucket: "dict[int, int]", cfg: EngineConfig) -> int:
-    """Buckets per encode task: amortize per-task fixed cost without
-    starving the encode pool (≥ 2 waves of tasks per slot) or blowing the
-    per-task row budget (~4M postings)."""
-    if not per_bucket:
-        return 1
-    n = len(per_bucket)
-    mean_rows = max(1, sum(per_bucket.values()) // n)
+def _encode_groups(work: "list[tuple[int, int, int]]", cfg: EngineConfig) -> "list[list]":
+    """``(bucket, rows, vocab_rows)`` grouped into encode tasks: several
+    small buckets per task amortize its fixed cost (glob, parquet write),
+    which dominates once auto-bucketing or wave splits shrink buckets
+    below ~1M postings, without starving the encode pool (≥ 2 tasks per
+    slot) or blowing the per-task row budget (~4M postings).  The sort
+    working set stays per-bucket either way."""
+    if not work:
+        return []
+    mean_rows = max(1, sum(r for _b, r, _v in work) // len(work))
     cpus = int(ray.cluster_resources().get("CPU", 8))
     slots = max(1, int(cpus // max(1.0, _encode_num_cpus(cfg))))
-    by_slots = max(1, n // (2 * slots))
-    by_rows = max(1, int(4_000_000 // mean_rows))
-    return max(1, min(by_slots, by_rows))
+    step = max(1, min(len(work) // (2 * slots), 4_000_000 // mean_rows))
+    return [work[i : i + step] for i in range(0, len(work), step)]
 
 
 def encode_spilled_bucket(
-    batch: pa.Table, *, spill_dir: str, out_dir: str, avgdl: float, cfg: EngineConfig
-) -> pa.Table:
-    """Reduce-side: read one bucket's spill shards, encode, write the
-    atomic dict file.  With the vocab sidecar, first sum the bucket's
-    (term, df) partials into its stripe and write that (a stripe may
-    have vocab rows but no postings: its head terms were salted into
+    buckets: "list[tuple[int, int, int]]",
+    *, spill_dir: str, out_dir: str, avgdl: float, cfg: EngineConfig,
+) -> "list[dict]":
+    """Reduce-side, one task per group of ``(bucket, expected_rows,
+    expected_vocab_rows)``: read each bucket's spill shards, encode,
+    write the atomic dict file.  With the vocab sidecar, first sum the
+    bucket's (term, df) partials into its stripe and write that (a stripe
+    may have vocab rows but no postings: its head terms were salted into
     other buckets).  Row counts are cross-checked against the map acks
     (``_read_spilled``); on multi-node clusters spill_root must be a
     shared filesystem."""
@@ -458,19 +465,14 @@ def encode_spilled_bucket(
 
     tune_allocator()
     rows = []
-    for b, exp, vexp in zip(
-        batch["bucket"].to_pylist(),
-        batch["expected_rows"].to_pylist(),
-        batch["expected_vocab_rows"].to_pylist(),
-    ):
-        b = int(b)
+    for b, exp, vexp in buckets:
         if cfg.extra.get("vocab_sidecar"):
-            vt = _read_spilled(spill_dir, b, "vocab", int(vexp))
+            vt = _read_spilled(spill_dir, b, "vocab", vexp)
             parts = [] if vt is None else [
                 (vt["term"].to_numpy(zero_copy_only=False), vt["df"].to_numpy())
             ]
             segment.write_vocab_part(out_dir, b, parts)
-        tbl = _read_spilled(spill_dir, b, "part", int(exp))
+        tbl = _read_spilled(spill_dir, b, "part", exp)
         if tbl is None:
             continue
         enc = encode_bucket(
@@ -483,15 +485,9 @@ def encode_spilled_bucket(
             avgdl, cfg.k1, cfg.b, cfg.treatment_bands or cfg.block_size,
         )
         segment.write_bucket_atomic(enc, out_dir, b)
-        rows.append((b, len(enc), len(tbl), enc.nbytes))
-    return pa.table(
-        {
-            "bucket": pa.array([r[0] for r in rows], pa.int32()),
-            "n_chunks": pa.array([r[1] for r in rows], pa.int64()),
-            "n_postings": pa.array([r[2] for r in rows], pa.int64()),
-            "payload_bytes": pa.array([r[3] for r in rows], pa.int64()),
-        }
-    )
+        rows.append({"bucket": b, "n_chunks": len(enc), "n_postings": len(tbl),
+                     "payload_bytes": enc.nbytes})
+    return rows
 
 
 def effective_num_buckets(cfg: EngineConfig, corpus: "ray.data.Dataset") -> int:
@@ -598,7 +594,8 @@ def build_index(
 
     ``_defer_encode`` (internal, used by ``build_index_waves``): return
     right after the spill pass with ``{"deferred": True, "finish": fn}``;
-    calling ``finish()`` runs the encode phase + manifest write.  Lets a
+    calling ``finish()`` runs the encode wave + manifest write, with at
+    most half the cluster's CPUs' worth of encode tasks in flight.  Lets a
     caller overlap this segment's (memory-bandwidth-bound) encode with the
     NEXT segment's (compute-bound) tokenize/spill.
     """
@@ -834,22 +831,26 @@ def build_index(
                 .astype(int)
             )
             enc_cpus = _encode_num_cpus(cfg)
+            groups = _encode_groups([
+                (int(b), int(r), int(v))
+                for b, r, v in zip(per_bucket.index, per_bucket["rows"], per_bucket["vocab_rows"])
+            ], cfg)
+            # In deferred (overlap) mode the encode runs CONCURRENTLY with
+            # the next wave's spill: cap concurrent encode tasks to half
+            # the cluster so the bandwidth-floored encode never starves
+            # the compute-bound spill of CPUs (uncapped, 16 tasks x 2 cpus
+            # reserve the whole 32-cpu box and the "overlap" degenerates
+            # to alternation)
+            cap = (
+                max(1, int(ray.cluster_resources().get("CPU", 8) // (2 * enc_cpus)))
+                if _defer_encode
+                else None
+            )
 
-            def _encode_phase(
-                per_bucket=per_bucket, spill_dir=spill_dir, avgdl=avgdl
-            ) -> "list[dict]":
+            def _encode_phase(groups=groups, spill_dir=spill_dir, avgdl=avgdl) -> "list[dict]":
                 te = time.time()
                 try:
-                    enc = ray.data.from_items(
-                        [
-                            {
-                                "bucket": int(b),
-                                "expected_rows": int(r["rows"]),
-                                "expected_vocab_rows": int(r["vocab_rows"]),
-                            }
-                            for b, r in per_bucket.iterrows()
-                        ]
-                    ).map_batches(
+                    out = fan_out(
                         partial(
                             encode_spilled_bucket,
                             spill_dir=spill_dir,
@@ -857,32 +858,12 @@ def build_index(
                             avgdl=avgdl,
                             cfg=cfg_task,
                         ),
-                        # several small buckets per task: the per-task
-                        # fixed cost (launch, glob, parquet write)
-                        # dominates once auto-bucketing or wave splits
-                        # shrink buckets below ~1M postings; the sort
-                        # working set stays per-bucket either way.
-                        # Keep ≥ 2 tasks per encode slot so the stage
-                        # still fills the pool, and ≤ ~4M rows per task.
-                        batch_size=_encode_batch_size(per_bucket["rows"].to_dict(), cfg),
-                        batch_format="pyarrow",
-                        # In deferred (overlap) mode the encode runs
-                        # CONCURRENTLY with the next wave's spill: cap
-                        # concurrent encode tasks to half the cluster
-                        # so the bandwidth-floored encode never starves
-                        # the compute-bound spill of CPUs (uncapped, 16
-                        # tasks x 2 cpus reserve the whole 32-cpu box
-                        # and the "overlap" degenerates to alternation)
-                        concurrency=(
-                            max(1, int(ray.cluster_resources().get("CPU", 8) // (2 * enc_cpus)))
-                            if _defer_encode
-                            else None
-                        ),
+                        groups,
                         num_cpus=enc_cpus,
+                        max_in_flight=cap,
                     )
-                    out = enc.to_pandas().to_dict("records")
                     _mark("encode", te)
-                    return out
+                    return [r for rows in out for r in rows]
                 finally:
                     _shutil.rmtree(spill_dir, ignore_errors=True)
 
@@ -904,22 +885,7 @@ def build_index(
             "n_docs": n_docs,
             "sum_doclen": sum_dl,
             "avgdl": avgdl,
-            "config": {
-                "max_gram": cfg.max_gram,
-                "k1": cfg.k1,
-                "b": cfg.b,
-                "block_size": cfg.block_size,
-                "treatment_bands": [list(b) for b in cfg.treatment_bands] if cfg.treatment_bands else None,
-                "num_buckets": cfg.num_buckets,
-                "head_df_threshold": cfg.head_df_threshold,
-                "salt_shift": cfg.salt_shift,
-                "streams": [list(s) for s in cfg.streams],
-                "facts": [list(f) for f in cfg.facts],
-                "store_fields": list(cfg.store_fields),
-                # recorded so fsck can flag a LOST vocab sidecar (a dir
-                # check alone passes clean when the whole dir is gone)
-                "vocab_sidecar": vocab,
-            },
+            "config": segment.manifest_config(cfg, vocab),
             "n_head_terms": n_head_terms,
             "input_files": input_files[:4096],
             "n_input_files": len(input_files),

@@ -22,10 +22,10 @@ per segment (one summary row, bucket = -1):
   - docstore rows match docmeta, parts doc_id-sorted (``docstore_errors``);
   - vocab sidecar stripes well-formed and complete (``vocab_errors``).
 
-Layout: one Ray task per bucket file (the build's own checkpoint
-granularity — resumable audits come free), map over a tiny
-``from_items`` dataset of file paths; per-bucket result rows are
-output-sized.  All checks are vectorized numpy over the decoded chunk.
+Layout: one plain Ray task per bucket file (the build's own checkpoint
+granularity — resumable audits come free) plus one per segment's
+docmeta; per-bucket result rows are output-sized.  All checks are
+vectorized numpy over the decoded chunk.
 """
 
 from __future__ import annotations
@@ -253,31 +253,23 @@ def audit_docmeta(seg_dir: str) -> dict:
     }
 
 
+def _audit(item: "tuple[str, str]") -> dict:
+    seg, path = item
+    return audit_bucket(seg, path) if path else audit_docmeta(seg)
+
+
 def fsck_index(index_dirs) -> pa.Table:
     """Audit one or more segment dirs; returns the per-bucket (plus one
     per-segment docmeta) result table, sorted (segment, bucket).  Runs
-    one Ray task per bucket file via ``from_items`` + ``map_batches``."""
-    import ray.data as rd
-
+    one Ray task per bucket file (``fan_out``)."""
     from bitfunnel_ray.build import segment as seglib
+    from bitfunnel_ray.ops.exchange import fan_out
 
-    dirs = seglib.resolve_segment_dirs(index_dirs)
-    items = []
-    for d in dirs:
-        items.append({"seg": d, "path": ""})  # docmeta row
-        for p in sorted(glob.glob(os.path.join(d, "dict-*.parquet"))):
-            items.append({"seg": d, "path": p})
-
-    def run(t: pa.Table) -> pa.Table:
-        rows = []
-        for seg, path in zip(t["seg"].to_pylist(), t["path"].to_pylist()):
-            rows.append(audit_docmeta(seg) if not path else audit_bucket(seg, path))
-        return pa.Table.from_pylist(rows, schema=RESULT_SCHEMA)
-
-    out = (
-        rd.from_items(items)
-        .map_batches(run, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
+    items = [
+        (d, p)
+        for d in seglib.resolve_segment_dirs(index_dirs)
+        for p in [""] + sorted(glob.glob(os.path.join(d, "dict-*.parquet")))
+    ]
+    out = fan_out(_audit, items)
     out.sort(key=lambda r: (r["segment"], r["bucket"]))
     return pa.Table.from_pylist(out, schema=RESULT_SCHEMA)

@@ -19,99 +19,111 @@ scatter still finds every chunk.
 The vocab sidecar is striped the same way (stripe b = the unigrams with
 ``term_hash % B == b``), so the task of bucket b also sums stripe b of
 every source into the merged stripe b — no exchange, no re-hashing.
+
+Every unit of work is known to the driver (source docmeta and docstore
+files, bucket ids), so the merge is two waves of plain Ray tasks
+(``ops.exchange.fan_out``), not Datasets: one task per source file, then
+one per bucket, once the rewritten docmeta gives avgdl.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data
 
 from bitfunnel_ray.build import segment as seglib
 from bitfunnel_ray.build.encode import check_bands, decode_bucket_table, encode_bucket
 from bitfunnel_ray.config import EngineConfig
+from bitfunnel_ray.ops.exchange import fan_out
 
 
-def _merge_bucket_batch(
-    batch: pa.Table,
+def _alive(ids: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Mask of ``ids`` not in the sorted, non-empty ``dead``."""
+    pos = np.searchsorted(dead, ids)
+    pos[pos == len(dead)] = 0
+    return dead[pos] != ids
+
+
+def _merge_bucket(
+    b: int,
     *,
     seg_dirs: "list[str]",
     out_dir: str,
     avgdl: float,
     cfg: EngineConfig,
-    vocab: bool = False,
-    dead_ref=None,
-) -> pa.Table:
-    import ray
-
+    vocab: bool,
+    dead: np.ndarray,
+) -> "dict | None":
+    """Merge bucket ``b`` of every source into ``out_dir`` (atomic write);
+    its stats row, or None when no source has postings there."""
     from bitfunnel_ray.functions.mem import tune_allocator
 
     tune_allocator()
-    dead = (
-        ray.get(dead_ref) if dead_ref is not None else np.empty(0, np.uint64)
-    )  # sorted uint64
-    rows = []
-    for b in batch["bucket"].to_pylist():
-        b = int(b)
-        parts = []
-        for d in seg_dirs:
-            p = seglib.bucket_path(d, b)
-            if os.path.exists(p):
-                parts.append(decode_bucket_table(pq.read_table(p)))
-        if vocab:
-            # one filter reads stripe b in either layout: one part per
-            # stripe, or one sidecar file of mixed stripes.  Tombstoned
-            # docs' df is not subtracted (df is not per-doc decomposable
-            # from the sidecar) — the same freshness class as posting-level
-            # df before compaction; a fresh build resets it.
-            vts = [
-                pq.read_table(
-                    os.path.join(d, "vocab"), schema=seglib.VOCAB_SCHEMA,
-                    columns=["term", "df"], filters=[("bucket", "=", b)],
-                )
-                for d in seg_dirs
-            ]
-            if parts or any(len(t) for t in vts):
-                seglib.write_vocab_part(out_dir, b, [
-                    (t["term"].to_numpy(zero_copy_only=False), t["df"].to_numpy()) for t in vts
-                ])
-        if not parts:
-            continue
-        h = np.concatenate([p[0] for p in parts])
-        g = np.concatenate([p[1] for p in parts])
-        s = np.concatenate([p[2] for p in parts])
-        doc = np.concatenate([p[3] for p in parts])
-        tf = np.concatenate([p[4] for p in parts])
-        dl = np.concatenate([p[5] for p in parts])
-        if len(dead):
-            pos = np.searchsorted(dead, doc)
-            pos[pos == len(dead)] = 0
-            keep = dead[pos] != doc
-            h, g, s, doc, tf, dl = h[keep], g[keep], s[keep], doc[keep], tf[keep], dl[keep]
-        enc = encode_bucket(
-            h, g, s, doc, tf, dl, avgdl, cfg.k1, cfg.b,
-            cfg.treatment_bands or cfg.block_size,
-        )
-        seglib.write_bucket_atomic(enc, out_dir, b)
-        rows.append(
-            {
-                "bucket": b,
-                "n_chunks": len(enc),
-                "n_postings": int(len(doc)),
-                "payload_bytes": enc.nbytes,
-            }
-        )
-    return pa.Table.from_pylist(rows) if rows else pa.table(
-        {
-            "bucket": pa.array([], pa.int32()),
-            "n_chunks": pa.array([], pa.int64()),
-            "n_postings": pa.array([], pa.int64()),
-            "payload_bytes": pa.array([], pa.int64()),
-        }
+    parts = []
+    for d in seg_dirs:
+        p = seglib.bucket_path(d, b)
+        if os.path.exists(p):
+            parts.append(decode_bucket_table(pq.read_table(p)))
+    if vocab:
+        # one filter reads stripe b in either layout: one part per
+        # stripe, or one sidecar file of mixed stripes.  Tombstoned
+        # docs' df is not subtracted (df is not per-doc decomposable
+        # from the sidecar) — the same freshness class as posting-level
+        # df before compaction; a fresh build resets it.
+        vts = [
+            pq.read_table(
+                os.path.join(d, "vocab"), schema=seglib.VOCAB_SCHEMA,
+                columns=["term", "df"], filters=[("bucket", "=", b)],
+            )
+            for d in seg_dirs
+        ]
+        if parts or any(len(t) for t in vts):
+            seglib.write_vocab_part(out_dir, b, [
+                (t["term"].to_numpy(zero_copy_only=False), t["df"].to_numpy()) for t in vts
+            ])
+    if not parts:
+        return None
+    h, g, s, doc, tf, dl = (np.concatenate(col) for col in zip(*parts))
+    if len(dead):
+        keep = _alive(doc, dead)
+        h, g, s, doc, tf, dl = h[keep], g[keep], s[keep], doc[keep], tf[keep], dl[keep]
+    enc = encode_bucket(
+        h, g, s, doc, tf, dl, avgdl, cfg.k1, cfg.b,
+        cfg.treatment_bands or cfg.block_size,
     )
+    seglib.write_bucket_atomic(enc, out_dir, b)
+    return {"bucket": b, "n_chunks": len(enc), "n_postings": int(len(doc)),
+            "payload_bytes": enc.nbytes}
+
+
+def _merge_job(job: tuple, *, dead: np.ndarray, meta_dest: str, store_dest: str,
+               row_group: int, bucket_kw: dict):
+    """One task of the merge wave: ``("bucket", b)``, or ``("meta" |
+    "store", path)``: one source docmeta or docstore file rewritten
+    without its tombstoned rows, under a deterministic name (its first
+    pre-filter doc_id).  A retried task overwrites its own earlier part
+    instead of duplicating rows: both must stay exactly-once (docmeta's
+    totals feed avgdl and the sharded server's doc striping).  Returns
+    the bucket's stats row, (n_docs, sum_doclen), or the row count."""
+    kind, arg = job
+    if kind == "bucket":
+        return _merge_bucket(arg, dead=dead, **bucket_kw)
+    t = pq.read_table(arg)
+    name = f"part-{int(t['doc_id'][0].as_py()):016x}.parquet" if len(t) else "part-empty.parquet"
+    if len(dead):
+        t = t.filter(pa.array(_alive(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64), dead)))
+    if kind == "meta":
+        pq.write_table(t, os.path.join(meta_dest, name))
+        return len(t), int(np.sum(t["doclen"].to_numpy(zero_copy_only=False), dtype=np.int64))
+    # no 0-row docstore part: its row group has statistics=None, which
+    # DocStore.__init__ can't range-index
+    if len(t):
+        pq.write_table(t.sort_by("doc_id"), os.path.join(store_dest, name), row_group_size=row_group)
+    return len(t)
 
 
 def merge_segments(
@@ -126,9 +138,7 @@ def merge_segments(
     delete).  Idempotent/resumable like ``build_index``: completed buckets
     are skipped on rerun.
     """
-    import ray
-
-    from functools import partial
+    import shutil
 
     mans = []
     for d in seg_dirs:
@@ -145,10 +155,9 @@ def merge_segments(
                     f"segments disagree on {key}: {c.get(key)} vs {c0.get(key)} "
                     "— bucket-aligned merge requires identical hashing/bucketing config"
                 )
-        # store_fields must match too: the docstore merge reads every
-        # source part through one read_parquet, and DocStore assumes the
-        # first part's field list for all parts — mixed schemas would
-        # fail or silently drop fields for one source's docs.
+        # store_fields must match too: DocStore assumes the first part's
+        # field list for all parts — mixed schemas would fail or silently
+        # drop fields for one source's docs.
         if tuple(c.get("store_fields") or ()) != tuple(c0.get("store_fields") or ()):
             raise ValueError(
                 f"segments disagree on store_fields: {c.get('store_fields')} vs "
@@ -179,65 +188,25 @@ def merge_segments(
         if tombstones is not None and len(tombstones)
         else np.empty(0, np.uint64)
     )
-    dead_ref = ray.put(dead) if len(dead) else None
 
-    # --- docmeta: distributed rewrite (filtering tombstones) + totals ----
+    # --- docmeta: rewritten one task per source file (tombstones
+    # filtered); the totals give avgdl ------------------------------------
     meta_dir = os.path.join(out_dir, "docmeta")
     meta_done = os.path.join(meta_dir, "_DONE")
-    import shutil
-
-    meta_files = [
-        f
-        for d in seg_dirs
-        for f in sorted(
-            os.path.join(d, "docmeta", p)
-            for p in os.listdir(os.path.join(d, "docmeta"))
-            if p.endswith(".parquet")
-        )
-    ]
-
-    def meta_rewrite(t: pa.Table, *, dest: str) -> pa.Table:
-        # deterministic part name from the batch's first (pre-filter)
-        # doc_id: a Ray task retry overwrites its own earlier file instead
-        # of duplicating rows (docmeta must stay exactly-once — its totals
-        # feed avgdl and the sharded server's doc striping)
-        tag = f"{int(t['doc_id'][0].as_py()):016x}" if len(t) else "empty"
-        if dead_ref is not None:
-            dd = ray.get(dead_ref)
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            pos = np.searchsorted(dd, ids)
-            pos[pos == len(dd)] = 0
-            t = t.filter(pa.array(dd[pos] != ids))
-        os.makedirs(dest, exist_ok=True)
-        pq.write_table(t, os.path.join(dest, f"part-{tag}.parquet"))
-        dl = t["doclen"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "n_docs": pa.array([len(t)], pa.int64()),
-                "sum_doclen": pa.array([int(np.sum(dl, dtype=np.int64))], pa.int64()),
-            }
-        )
-
-    if not os.path.exists(meta_done):
-        meta_tmp = meta_dir + ".tmp"
+    meta_tmp = meta_dir + ".tmp"
+    meta_jobs, store_jobs = [], []
+    rewrite_meta = not os.path.exists(meta_done)
+    if rewrite_meta:
         shutil.rmtree(meta_tmp, ignore_errors=True)
-        totals = (
-            ray.data.read_parquet(meta_files)
-            .map_batches(partial(meta_rewrite, dest=meta_tmp), batch_format="pyarrow")
-            .to_pandas()
-        )
-        n_docs = int(totals["n_docs"].sum())
-        sum_dl = int(totals["sum_doclen"].sum())
-        shutil.rmtree(meta_dir, ignore_errors=True)
-        os.replace(meta_tmp, meta_dir)
-        with open(meta_done, "w") as f:
-            f.write(f"{n_docs},{sum_dl}")
-    else:
-        with open(meta_done) as f:
-            n_docs, sum_dl = (int(x) for x in f.read().split(","))
-    avgdl = (sum_dl / n_docs) if n_docs else 1.0
+        os.makedirs(meta_tmp)
+        meta_jobs = [
+            ("meta", os.path.join(d, "docmeta", p))
+            for d in seg_dirs
+            for p in sorted(os.listdir(os.path.join(d, "docmeta")))
+            if p.endswith(".parquet")
+        ]
 
-    # --- docstore: same distributed rewrite when EVERY source carries the
+    # --- docstore: the same rewrite when EVERY source carries the
     # stored-fields sidecar (build/docstore.py); a mixed set would leave
     # fetch() silently partial, so it merges all-or-nothing --------------
     store_srcs = [os.path.join(d, "docstore") for d in seg_dirs]
@@ -248,54 +217,24 @@ def merge_segments(
         for p in sorted(os.listdir(s))
         if p.endswith(".parquet")
     ]
-    if all(os.path.isdir(s) for s in store_srcs) and store_files:
-        store_dir = os.path.join(out_dir, "docstore")
-        store_done = os.path.join(store_dir, "_DONE")
-        if not os.path.exists(store_done):
-            # keep the operator's point-lookup pruning unit: reuse the
-            # source parts' row-group size instead of hardcoding one
-            first_meta = pq.ParquetFile(store_files[0]).metadata
-            src_rg = max(
-                1, first_meta.row_group(0).num_rows
-            ) if first_meta.num_row_groups else 2048
-
-            def store_rewrite(t: pa.Table, *, dest: str) -> pa.Table:
-                if dead_ref is not None:
-                    dd = ray.get(dead_ref)
-                    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    pos = np.searchsorted(dd, ids)
-                    pos[pos == len(dd)] = 0
-                    t = t.filter(pa.array(dd[pos] != ids))
-                # A 0-row parquet part has a row group with statistics=None,
-                # which DocStore.__init__ can't range-index — skip the write
-                # entirely when tombstones (or an empty input batch) leave
-                # nothing.  Also avoids name collisions on "part-empty".
-                if len(t) == 0:
-                    return pa.table({"n_rows": pa.array([0], pa.int64())})
-                tag = f"{int(t['doc_id'][0].as_py()):016x}"
-                t = t.sort_by("doc_id")
-                os.makedirs(dest, exist_ok=True)
-                pq.write_table(t, os.path.join(dest, f"part-{tag}.parquet"),
-                               row_group_size=src_rg)
-                return pa.table({"n_rows": pa.array([len(t)], pa.int64())})
-
-            store_tmp = store_dir + ".tmp"
-            shutil.rmtree(store_tmp, ignore_errors=True)
-            os.makedirs(store_tmp, exist_ok=True)  # all-empty batches write no parts
-            rows = (
-                ray.data.read_parquet(store_files)
-                .map_batches(partial(store_rewrite, dest=store_tmp), batch_format="pyarrow")
-                .to_pandas()
-            )
-            if int(rows["n_rows"].sum()) != n_docs:
-                raise RuntimeError(
-                    f"merged docstore rows ({int(rows['n_rows'].sum())}) != "
-                    f"docmeta n_docs ({n_docs}); refusing to publish"
-                )
-            shutil.rmtree(store_dir, ignore_errors=True)
-            os.replace(store_tmp, store_dir)
-            with open(store_done, "w") as f:
-                f.write("ok")
+    store_dir = os.path.join(out_dir, "docstore")
+    store_done = os.path.join(store_dir, "_DONE")
+    store_tmp = store_dir + ".tmp"
+    row_group = 2048
+    rewrite_store = (
+        all(os.path.isdir(s) for s in store_srcs)
+        and bool(store_files)
+        and not os.path.exists(store_done)
+    )
+    if rewrite_store:
+        # keep the operator's point-lookup pruning unit: reuse the
+        # source parts' row-group size instead of hardcoding one
+        first_meta = pq.ParquetFile(store_files[0]).metadata
+        if first_meta.num_row_groups:
+            row_group = max(1, first_meta.row_group(0).num_rows)
+        shutil.rmtree(store_tmp, ignore_errors=True)
+        os.makedirs(store_tmp)  # all-empty files write no parts
+        store_jobs = [("store", f) for f in store_files]
 
     # --- heads union ------------------------------------------------------
     heads = [
@@ -319,25 +258,43 @@ def merge_segments(
     if vocab:
         os.makedirs(os.path.join(out_dir, "vocab"), exist_ok=True)
 
-    # --- bucket-aligned merge (one task per missing bucket, no shuffle) --
-    done = seglib.completed_buckets(out_dir)
-    todo = [b for b in range(cfg.num_buckets) if b not in done]
-    bucket_stats: list[dict] = []
-    if todo:
-        enc = ray.data.from_items([{"bucket": int(b)} for b in todo]).map_batches(
-            partial(
-                _merge_bucket_batch,
-                seg_dirs=list(seg_dirs),
-                out_dir=out_dir,
-                avgdl=avgdl,
-                cfg=cfg,
-                vocab=vocab,
-                dead_ref=dead_ref,
+    # --- the rewrites as one task wave, then the bucket-aligned merge
+    # (one task per missing bucket, no shuffle) as a second: avgdl comes
+    # from the rewritten docmeta's totals
+    def wave(jobs: list, avgdl: float = 1.0) -> list:
+        return fan_out(partial(
+            _merge_job, dead=dead, meta_dest=meta_tmp, store_dest=store_tmp,
+            row_group=row_group, bucket_kw=dict(
+                seg_dirs=list(seg_dirs), out_dir=out_dir, avgdl=avgdl, cfg=cfg, vocab=vocab,
             ),
-            batch_size=1,
-            batch_format="pyarrow",
-        )
-        bucket_stats = enc.to_pandas().to_dict("records")
+        ), jobs)
+
+    out = wave(meta_jobs + store_jobs)
+    if rewrite_meta:
+        metas = out[: len(meta_jobs)]
+        n_docs, sum_dl = sum(n for n, _ in metas), sum(s for _, s in metas)
+        shutil.rmtree(meta_dir, ignore_errors=True)
+        os.replace(meta_tmp, meta_dir)
+        with open(meta_done, "w") as f:
+            f.write(f"{n_docs},{sum_dl}")
+    else:
+        with open(meta_done) as f:
+            n_docs, sum_dl = (int(x) for x in f.read().split(","))
+    if rewrite_store:
+        rows = sum(out[len(meta_jobs):])
+        if rows != n_docs:
+            raise RuntimeError(
+                f"merged docstore rows ({rows}) != docmeta n_docs ({n_docs}); "
+                "refusing to publish"
+            )
+        shutil.rmtree(store_dir, ignore_errors=True)
+        os.replace(store_tmp, store_dir)
+        with open(store_done, "w") as f:
+            f.write("ok")
+    avgdl = (sum_dl / n_docs) if n_docs else 1.0
+    done = seglib.completed_buckets(out_dir)
+    todo = [("bucket", b) for b in range(cfg.num_buckets) if b not in done]
+    bucket_stats = [r for r in wave(todo, avgdl) if r is not None]
 
     manifest = {
         "format_version": 1,
@@ -345,22 +302,9 @@ def merge_segments(
         "n_docs": n_docs,
         "sum_doclen": sum_dl,
         "avgdl": avgdl,
-        "config": {
-            "max_gram": cfg.max_gram,
-            "k1": cfg.k1,
-            "b": cfg.b,
-            "block_size": cfg.block_size,
-            "num_buckets": cfg.num_buckets,
-            "head_df_threshold": cfg.head_df_threshold,
-            "salt_shift": cfg.salt_shift,
-            "streams": [list(s) for s in cfg.streams],
-            "facts": [list(f) for f in cfg.facts],
-            "treatment_bands": [list(b) for b in cfg.treatment_bands] if cfg.treatment_bands else None,
-            "store_fields": list(cfg.store_fields),
-            # merged segment carries a vocab sidecar iff every source did
-            # (the all-or-nothing merge above) — recorded for fsck
-            "vocab_sidecar": vocab,
-        },
+        # a vocab sidecar iff every source had one (the all-or-nothing
+        # merge above)
+        "config": seglib.manifest_config(cfg, vocab),
         "n_head_terms": n_head_terms,
         "merged_from": [os.path.abspath(d) for d in seg_dirs],
         "n_tombstones_compacted": int(len(dead)),

@@ -87,6 +87,27 @@ def completed_buckets(seg_dir: str) -> set[int]:
     return out
 
 
+def manifest_config(cfg, vocab: bool) -> dict:
+    """A manifest's ``config`` block for an ``EngineConfig``: what a merge,
+    a server or fsck needs to read the segment back.  ``vocab`` records
+    whether the segment carries a vocab sidecar, so fsck can flag a LOST
+    one (a dir check alone passes clean when the whole dir is gone)."""
+    return {
+        "max_gram": cfg.max_gram,
+        "k1": cfg.k1,
+        "b": cfg.b,
+        "block_size": cfg.block_size,
+        "treatment_bands": [list(b) for b in cfg.treatment_bands] if cfg.treatment_bands else None,
+        "num_buckets": cfg.num_buckets,
+        "head_df_threshold": cfg.head_df_threshold,
+        "salt_shift": cfg.salt_shift,
+        "streams": [list(s) for s in cfg.streams],
+        "facts": [list(f) for f in cfg.facts],
+        "store_fields": list(cfg.store_fields),
+        "vocab_sidecar": vocab,
+    }
+
+
 def write_manifest(seg_dir: str, manifest: dict) -> None:
     tmp = os.path.join(seg_dir, f".{MANIFEST}.tmp-{uuid.uuid4().hex}")
     with open(tmp, "w") as f:

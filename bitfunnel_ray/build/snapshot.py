@@ -117,7 +117,7 @@ def _copy_segment(
 def snapshot_index(index_locator, snap_dir: str) -> dict:
     """Snapshot every segment the locator resolves to into ``snap_dir``.
     Returns {"segments": n, "files": n, "bytes": n}."""
-    import ray
+    from bitfunnel_ray.ops.exchange import fan_out
 
     seg_dirs = resolve_segment_dirs(index_locator)
     os.makedirs(snap_dir, exist_ok=True)
@@ -150,9 +150,10 @@ def snapshot_index(index_locator, snap_dir: str) -> dict:
                     int(mt) if mt is not None else None,
                 )
 
-    copy = ray.remote(num_cpus=0.5)(_copy_segment)
-    row_lists = ray.get(
-        [copy.remote(d, snap_dir, n, known) for d, n in zip(seg_dirs, names)]
+    row_lists = fan_out(
+        lambda dn: _copy_segment(dn[0], snap_dir, dn[1], known),
+        list(zip(seg_dirs, names)),
+        num_cpus=0.5,
     )
     all_rows = [r for rows in row_lists for r in rows]
     manifest = {

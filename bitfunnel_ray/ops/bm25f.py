@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray.data
 
 from bitfunnel_ray.functions import bm25
+from bitfunnel_ray.query.wand import topk_order
 from bitfunnel_ray.stages.tokenize import flat_tokens
 
 
@@ -158,7 +159,7 @@ def bm25f_topk(
     all_parts = parts.to_pandas()
     sc = np.round(all_parts["score"].to_numpy(), 6)
     doc = all_parts["doc_id"].to_numpy()
-    order = np.lexsort((doc, -sc))[:k]
+    order = topk_order(sc, doc, k)
     return pa.table(
         {
             "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64), pa.int64()),

@@ -1,5 +1,6 @@
-"""The engine's one hash exchange: the only module that knows how a
-Dataset is hash-partitioned on a key.
+"""How the engine distributes work: the one hash exchange (the only code
+that hash-partitions a Dataset on a key) and the keyless task wave
+(``fan_out``) for work over a list the driver already holds.
 
 Every keyed stage has the same shape (SNIPPETS [1]'s
 ``repartition_by_column`` plus a whole-block kernel, the partition-first
@@ -25,6 +26,9 @@ is written onto the context of the dataset being repartitioned.  Ray
 plans a whole pipeline under the context of the dataset that executes
 it, and ``a.union(b)`` takes ``a``'s: an exchanged dataset goes on the
 left of a union that no later exchange follows.
+
+A stage over a driver-known list (bucket ids, files) needs no Dataset: a
+Ray Data launch costs ~0.07-0.14 s, a ``fan_out`` wave milliseconds.
 """
 
 from __future__ import annotations
@@ -60,3 +64,26 @@ def exchange(ds, keys, kernel, *, num_partitions: int | None = None):
     return ds.repartition(num_partitions or n, keys=list(keys)).map_batches(
         kernel, batch_size=None, batch_format="pyarrow"
     )
+
+
+@ray.remote
+def _apply(fn, item):
+    return fn(item)
+
+
+def fan_out(fn, items, *, num_cpus: float = 1, max_in_flight: int | None = None) -> list:
+    """``[fn(item) for item in items]`` as one plain Ray task per item,
+    in item order.  ``fn`` (and what it captures) ships once per wave; an
+    ``ObjectRef`` item arrives resolved.  At most ``max_in_flight`` tasks
+    run at once; a task's exception is raised here."""
+    fn_ref = ray.put(fn)
+    # SPREAD, as Ray Data schedules map tasks: writers land on every node
+    task = _apply.options(num_cpus=num_cpus, scheduling_strategy="SPREAD")
+    refs, running = [], []
+    for item in items:
+        if max_in_flight and len(running) >= max_in_flight:
+            done, running = ray.wait(running, num_returns=1)
+            ray.get(done)  # fail fast: stop launching after an error
+        refs.append(task.remote(fn_ref, item))
+        running.append(refs[-1])
+    return ray.get(refs)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from bitfunnel_ray.query.wand import topk_order
+
 
 def candidate_timestamps(pages, doc_ids: np.ndarray) -> dict[int, int]:
     """(doc_id → epoch-seconds) for the candidate ids: broadcast id set,
@@ -63,7 +65,7 @@ def recency_blend(
     age_s = (now_s - ts_arr).astype(np.float64)
     decay = np.exp2(-age_s / (half_life_days * 86400.0))
     blended = np.round(np.round(results["score"].to_numpy(), 6) * decay, 6)
-    order = np.lexsort((ids, -blended))[:k]
+    order = topk_order(blended, ids, k)
     return pa.table(
         {
             "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),

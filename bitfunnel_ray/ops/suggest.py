@@ -164,12 +164,12 @@ def terms_over(parts, keys: list, count: str, thr: int) -> pa.Table:
     at least ⌊thr/m⌋+1 in some part.  Round 1 returns each part's keys at
     that cut; round 2 the exact counts of their union from every part.
     The answer does not depend on m or on how the counts are split."""
-    import ray
+    from functools import partial
 
-    task = ray.remote(_sum_by_key)
+    from bitfunnel_ray.ops.exchange import fan_out
 
     def each(**kw) -> list:
-        done = ray.get([task.remote(p, keys, count, **kw) for p in parts])
+        done = fan_out(partial(_sum_by_key, keys=keys, count=count, **kw), parts)
         return [c for c in done if c is not None]
 
     found = each(cut=thr // max(len(parts), 1) + 1)
@@ -177,7 +177,7 @@ def terms_over(parts, keys: list, count: str, thr: int) -> pa.Table:
         return pa.table({c: pa.array([], pa.null()) for c in keys + [count]})
     cand = pa.concat_tables(found).group_by(keys, use_threads=False).aggregate([])
     if len(cand):
-        found = each(among=ray.put(cand))
+        found = each(among=cand)
     total = _sum_by_key(pa.concat_tables(found), keys, count, cut=thr + 1)
     return total.sort_by([(k, "ascending") for k in keys])
 

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from bitfunnel_ray.functions.hashing import hash_terms
+from bitfunnel_ray.query.wand import topk_order
 
 
 def _url_key_rows(t, *, col: str, id_col: str, out: str, url_out: str,
@@ -219,7 +220,7 @@ def blended_search(eng, ranks: dict, query: str, k: int = 10) -> pa.Table:
     floor = min(ranks.values()) if ranks else 1
     prior = np.array([ranks.get(int(d), floor) for d in doc], dtype=np.float64)
     blended = score * prior
-    order = np.lexsort((doc, -blended))[:k]
+    order = topk_order(blended, doc, k)
     return pa.table(
         {
             "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),

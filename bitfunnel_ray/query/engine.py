@@ -459,17 +459,20 @@ class QueryAlgebra:
 
     def scoring_boosts(self, node: ast.Node) -> dict[tuple[int, int], float]:
         """(hash, gram) → query-time boost for every positive scoring
-        term.  A term occurring more than once takes the MAX boost (so
-        an unboosted duplicate stays the identity, matching the
-        dedupe in ``scoring_terms``); phrase boosts apply to every
-        constituent gram.  Empty dict when nothing is boosted — the
-        common case costs one AST walk and no score-path work."""
+        term whose boost is not 1.  A term occurring more than once takes
+        the MAX over its occurrences, an unboosted one counting as 1.0
+        (``t^0.5 t`` scores as ``t``, matching the dedupe in
+        ``scoring_terms``); phrase boosts apply to every constituent
+        gram.  Empty dict when nothing is boosted — the common case costs
+        one AST walk and no score-path work."""
+        pos = [leaf for leaf, neg in _leaves(node) if not neg]
+        if all(leaf.boost == 1.0 for leaf in pos):
+            return {}
         boosts: dict[tuple[int, int], float] = {}
-        for leaf, neg in _leaves(node):
-            if not neg and leaf.boost != 1.0:
-                for key in self._leaf_keys(leaf):
-                    boosts[key] = max(boosts.get(key, 1.0), leaf.boost)
-        return boosts
+        for leaf in pos:
+            for key in self._leaf_keys(leaf):
+                boosts[key] = max(boosts.get(key, leaf.boost), leaf.boost)
+        return {key: b for key, b in boosts.items() if b != 1.0}
 
     # --- boolean evaluation ----------------------------------------------
     def eval(self, node: ast.Node) -> np.ndarray:

@@ -300,6 +300,32 @@ def test_waves_resume_skips_completed(tmp_path):
     assert [m["complete"] for m in r2["waves"]] == [True, True]
 
 
+
+def test_deferred_encode_caps_tasks_in_flight(tmp_path, monkeypatch, sf_tiny):
+    """The overlapped (wave) encode keeps at most half the cluster's CPUs
+    of encode tasks in flight, so the next wave's spill keeps CPUs; a
+    plain build runs its encode wave uncapped."""
+    import ray
+
+    from bitfunnel_ray.build import builder
+
+    caps = []
+    real = builder.fan_out
+
+    def spy(fn, items, **kw):
+        caps.append(kw.get("max_in_flight"))
+        return real(fn, items, **kw)
+
+    monkeypatch.setattr(builder, "fan_out", spy)
+    corpus = corpus_from_documents(sf_tiny)
+    cfg = EngineConfig(max_gram=1, num_buckets=4)
+    part = build_index(corpus, str(tmp_path / "deferred"), cfg, _defer_encode=True)
+    assert part["deferred"] and caps == []
+    assert part["finish"]()["complete"]
+    build_index(corpus, str(tmp_path / "plain"), cfg)
+    enc_cpus = builder._encode_num_cpus(cfg)
+    assert caps == [max(1, int(ray.cluster_resources()["CPU"] // (2 * enc_cpus))), None]
+
 def test_docvalues_fast_field(built):
     """warc_ts_s doc values: fixture warc_ts is 2024-01-01 + doc_id s
     (sources/corpus.py), so the aligned array is 1704067200 + all_docs."""

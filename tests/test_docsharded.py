@@ -263,3 +263,36 @@ def test_docsharded_stored_fields_fetch(lifted_pair):
         assert len(srv.fetch([10**12])) == 0
     finally:
         srv.shutdown()
+
+
+def test_boost_below_one_scales_every_front(waved):
+    """``t^0.5`` contributes half of ``t`` (explain and search); ``t^0.5 t``
+    scores as ``t``, the max over the term's occurrences; the term-sharded
+    and doc-sharded fronts agree bit for bit."""
+    from bitfunnel_ray.query.sharded import ShardedServer
+
+    local = SearchEngine(waved, load_urls=False)
+    plain = local.search("spark", k=20)
+    half = local.search("spark^0.5", k=20)
+    assert half["doc_id"].to_pylist() == plain["doc_id"].to_pylist()
+    assert half["score"].to_pylist() == [0.5 * s for s in plain["score"].to_pylist()]
+    doc = int(local.search("spark join", k=1)["doc_id"][0].as_py())
+    ex = local.explain("spark join", doc).to_pandas().set_index("term")["contribution"]
+    exh = local.explain("spark^0.5 join", doc).to_pandas().set_index("term")["contribution"]
+    assert exh["spark"] == 0.5 * ex["spark"] and exh["join"] == ex["join"]
+    dup = local.search("spark^0.5 spark", k=20)
+    assert dup["doc_id"].to_pylist() == plain["doc_id"].to_pylist()
+    assert dup["score"].to_pylist() == plain["score"].to_pylist()
+
+    queries = ["spark^0.5", "spark^0.5 join", "spark^0.5 spark", "spark^2 | join^0.25"]
+    term_srv = ShardedServer(waved, n_shards=2, num_cpus_per_shard=0.25)
+    doc_srv = DocShardedServer(waved, n_shards=2, num_cpus_per_shard=0.25)
+    try:
+        for front in (term_srv.engine(), doc_srv):
+            for q in queries:
+                a, b = local.search(q, k=10), front.search(q, k=10)
+                assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), q
+                assert a["score"].to_pylist() == b["score"].to_pylist(), q
+    finally:
+        term_srv.shutdown()
+        doc_srv.shutdown()

@@ -198,3 +198,78 @@ def test_inner_and_left_share_one_join(ray_session):
     left = left_join_cp(lds, rds, key="k").to_pandas()
     matched = left[left["k"].isin(RIGHT["k"].drop_null().to_pylist())]
     assert _rows(inner) == _rows(matched)
+
+
+def test_no_dataset_launcher_under_build():
+    """Build stages over a driver-known list of buckets or files run as
+    plain task waves (``fan_out``), not as a ``from_items`` Dataset."""
+    found = [
+        str(p.relative_to(PKG))
+        for p in sorted((PKG / "build").rglob("*.py"))
+        if "from_items(" in p.read_text()
+    ]
+    assert found == []
+
+
+def _tasks():
+    """Task bodies, built inside a test so Ray pickles them by value (a
+    worker cannot import this test module)."""
+
+    def slow_square(x):
+        import time
+
+        t0 = time.time()
+        time.sleep(0.05 * (4 - x % 4))  # later items finish first
+        return x * x, t0, time.time()
+
+    def fail_on_three(x):
+        if x == 3:
+            raise ValueError(f"bad item {x}")
+        return x
+
+    return slow_square, fail_on_three
+
+
+def test_fan_out_keeps_item_order(ray_session):
+    from bitfunnel_ray.ops.exchange import fan_out
+
+    slow_square, _ = _tasks()
+    out = fan_out(slow_square, range(8))
+    assert [r[0] for r in out] == [x * x for x in range(8)]
+    assert fan_out(slow_square, []) == []
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_fan_out_caps_tasks_in_flight(ray_session, cap):
+    """Tasks record their start and end times: at no instant do more
+    than ``max_in_flight`` of them run."""
+    from bitfunnel_ray.ops.exchange import fan_out
+
+    slow_square, _ = _tasks()
+    spans = [r[1:] for r in fan_out(slow_square, range(6), max_in_flight=cap)]
+    for t0, _t1 in spans:
+        assert sum(s <= t0 < e for s, e in spans) <= cap
+    if cap == 1:
+        spans.sort()
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_fan_out_raises_the_task_error(ray_session, cap):
+    from bitfunnel_ray.ops.exchange import fan_out
+
+    _, fail_on_three = _tasks()
+    with pytest.raises(ValueError, match="bad item 3"):
+        fan_out(fail_on_three, range(6), max_in_flight=cap)
+
+
+def test_fan_out_resolves_ref_items(ray_session):
+    """An ObjectRef item reaches the function as its value; what the
+    function captures travels with it."""
+    import ray
+
+    from bitfunnel_ray.ops.exchange import fan_out
+
+    big = np.arange(1000)
+    refs = [ray.put(np.full(3, i)) for i in range(3)]
+    assert fan_out(lambda a: int(a.sum() + big[-1]), refs) == [999, 1002, 1005]

@@ -122,6 +122,32 @@ def test_merge_resume_after_partial(halves, tmp_path):
         assert got[name].equals(ref[name]), name
 
 
+
+def test_merge_failed_bucket_publishes_nothing(halves, tmp_path):
+    """A bucket task that fails (a planted corrupt source bucket file)
+    fails the merge and publishes no manifest.  Rerun after the repair,
+    the merge equals a fresh build of the union corpus."""
+    import shutil
+
+    s1, s2, full, root = halves
+    c1 = str(tmp_path / "s1")
+    shutil.copytree(s1, c1)
+    victim = sorted(glob.glob(os.path.join(c1, "dict-*.parquet")))[1]
+    with open(victim, "wb") as f:
+        f.write(b"not a parquet file")
+    out = str(tmp_path / "merged")
+    with pytest.raises(Exception):
+        merge_segments([c1, s2], out)
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    shutil.copy(os.path.join(s1, os.path.basename(victim)), victim)
+    man = merge_segments([c1, s2], out)
+    assert man["n_docs"] == 500
+    a, b = _dict_tables(out), _dict_tables(full)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].equals(b[name]), name
+
+
 def test_next_compaction_tiered(tmp_path):
     """The policy merges size PEERS first and never drags the giant
     segment into a small-tier merge unless forced by max_segments."""
