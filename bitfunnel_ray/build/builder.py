@@ -55,6 +55,8 @@ from bitfunnel_ray.ops.exchange import fan_out
 from bitfunnel_ray.stages.tokenize import tokenize_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# target docs per bucket for auto-bucketing (16Ki ≈ 2M posting rows)
+DOCS_PER_BUCKET = 1 << 14
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -499,7 +501,7 @@ def effective_num_buckets(cfg: EngineConfig, corpus: "ray.data.Dataset") -> int:
     than ~30k web documents (~4M posting rows — the radix parts stay
     cache-blocked, but the per-task concat/sort working set leaves the
     shared LLC and 32 concurrent tasks saturate the memory bus).  Target
-    ~``docs_per_bucket`` docs per bucket (default 16Ki ≈ 2M posting rows),
+    ~``DOCS_PER_BUCKET`` docs per bucket (16Ki ≈ 2M posting rows),
     rounded up to a power of two, never below ``cfg.num_buckets``.
 
     Only applies when the corpus row count is free (parquet metadata —
@@ -516,9 +518,22 @@ def effective_num_buckets(cfg: EngineConfig, corpus: "ray.data.Dataset") -> int:
         n = None
     if not n:
         return cfg.num_buckets
-    dpb = int(cfg.extra.get("docs_per_bucket", 1 << 14))
-    need = 1 << max(0, int(np.ceil(np.log2(max(1.0, n / dpb)))))
+    need = 1 << max(0, int(np.ceil(np.log2(max(1.0, n / DOCS_PER_BUCKET)))))
     return max(cfg.num_buckets, need)
+
+
+def _spill_batch_docs(num_buckets: int) -> int:
+    """Docs per tokenize/spill map task.  It pins the spill-shard count
+    (and the per-shard size) independent of input block layout and CPU
+    count — identical work shape at every parallelism.  It SCALES with
+    the bucket count so the per-(task, bucket) shard stays ~8k postings
+    as auto-bucketing grows the segment: at 4096 docs/task a 256-bucket
+    build writes tasks×buckets ≈ 250k tiny (~2k-posting) shards and both
+    spill and encode go file-metadata-bound (measured 4M-doc A/B:
+    16384-doc batches beat 4096 in 4/4 interleaved runs, best 134k vs
+    91k docs/s).  Deterministic in the config, so resume and both
+    scaling-run CPU levels see identical work."""
+    return min(65536, max(8192, 4096 * (num_buckets // 64)))
 
 
 def scan_head_terms(
@@ -743,23 +758,7 @@ def build_index(
                     f"schema {sorted(schema_names)}"
                 )
             sel += [c for c in cfg.store_fields if c not in sel]
-            # docs per map task: pins the spill-shard count (and the
-            # per-shard size) independent of input block layout and CPU
-            # count — identical work shape at every parallelism.  The
-            # default SCALES with the bucket count so the per-(task,
-            # bucket) shard stays ~8k postings as auto-bucketing grows
-            # the segment: at 4096 docs/task a 256-bucket build writes
-            # tasks×buckets ≈ 250k tiny (~2k-posting) shards and both
-            # spill and encode go file-metadata-bound (measured 4M-doc
-            # A/B: 16384-doc batches beat 4096 in 4/4 interleaved runs,
-            # best 134k vs 91k docs/s).  Deterministic in cfg, so resume
-            # and both scaling-run CPU levels see identical work.
-            spill_batch = int(
-                cfg.extra.get(
-                    "spill_batch_docs",
-                    min(65536, max(8192, 4096 * (cfg.num_buckets // 64))),
-                )
-            )
+            spill_batch = _spill_batch_docs(cfg.num_buckets)
             # task args must stay tiny: the head set travels as an
             # ObjectRef (head_ref), never inline in cfg.extra
             cfg_task = cfg

@@ -27,10 +27,10 @@ Scale shape (100 TB corpus):
   lexicographic (sorted before grouping), so the result is
   deterministic under any block layout and matches a
   ``string_agg(anchor ORDER BY anchor)`` SQL oracle.
-* ``anchor_corpus`` — distributed left-outer attach (in-house
-  co-partitioned exchange) of the corpus against the per-target anchor
-  table (unique per doc, enforced);
-  docs nobody links to get an empty anchor stream.
+* ``anchor_corpus`` — the co-partitioned left-outer join
+  (``ops/joins.left_join_cp``) of the corpus against the per-target
+  anchor table, with its unique-per-doc check on; docs nobody links to
+  get an empty anchor stream.
 """
 
 from __future__ import annotations
@@ -143,91 +143,32 @@ def anchor_corpus(
 
     Contract: ``anchors`` must be UNIQUE per ``doc_col`` (the
     ``aggregate_anchor_text`` output).  Duplicate anchor rows for a doc
-    RAISE in the block kernel (they are co-located after the exchange,
+    RAISE in the join kernel (they are co-located after the exchange,
     so the check is free) — the old ``Dataset.join`` silently duplicated
     corpus rows instead, which double-ingested documents downstream.
 
-    In-house co-partitioned attach rather than ``Dataset.join``: an
+    ``ops/joins.left_join_cp`` rather than ``Dataset.join``: an
     anchorless corpus (or an anchorless shuffle partition) emits
-    zero-column empty blocks, and on this Ray (2.49) those skip upstream
-    schema-changing maps and kill the pyarrow join operator ("No match
-    for FieldRef doc_id"); the tag maps here pin the transport schema
-    and the block kernel guards empties."""
-    from bitfunnel_ray.ops.exchange import exchange
+    zero-column empty blocks, and on this Ray (2.49) those kill the
+    pyarrow join operator ("No match for FieldRef doc_id")."""
+    from bitfunnel_ray.ops.joins import left_join_cp
 
     base = corpus.schema().base_schema
-    key_type = base.field(doc_col).type
-    transport = pa.schema(
-        [f for f in base]
-        + [pa.field(anchor_text_col, pa.string()), pa.field("_side", pa.int8())]
+    anchor_schema = pa.schema(
+        [base.field(doc_col), pa.field(anchor_text_col, pa.string())]
     )
-    out_schema = pa.schema(
-        [f for f in base] + [pa.field(anchor_text_col, pa.string())]
-    )
+    names = base.names + [anchor_text_col]
 
-    def tag_c(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or doc_col not in t.column_names:
-            return transport.empty_table()
-        t = t.select([f.name for f in base])
-        t = t.append_column(anchor_text_col, pa.array([""] * len(t), pa.string()))
-        return t.append_column(
-            "_side", pa.array(np.zeros(len(t), np.int8))
-        ).cast(transport)
+    def fill(t: pa.Table) -> pa.Table:  # unlinked docs: null → ''
+        i = t.schema.get_field_index(anchor_text_col)
+        return t.set_column(i, anchor_text_col, pc.fill_null(t[i], "")).select(names)
 
-    def tag_a(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or doc_col not in t.column_names:
-            return transport.empty_table()
-        cols = {}
-        for f in base:
-            cols[f.name] = (
-                t[doc_col].cast(key_type)
-                if f.name == doc_col
-                else pa.nulls(len(t), f.type)
-            )
-        cols[anchor_text_col] = pc.cast(
-            pc.fill_null(t[anchor_text_col], ""), pa.string()
-        )
-        cols["_side"] = pa.array(np.ones(len(t), np.int8))
-        return pa.table(cols, schema=transport)
-
-    def attach(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "_side" not in t.column_names:
-            return out_schema.empty_table()
-        side = t["_side"].to_numpy(zero_copy_only=False)
-        docs = t[doc_col].to_numpy(zero_copy_only=False)
-        is_c = side == 0
-        left = t.filter(pa.array(is_c)).drop_columns(["_side"])
-        if len(left) == 0:
-            return out_schema.empty_table()
-        a_docs = docs[~is_c]
-        a_text = t[anchor_text_col].combine_chunks().filter(pa.array(~is_c))
-        if len(a_docs):
-            if len(np.unique(a_docs)) != len(a_docs):
-                raise ValueError(
-                    "anchor_corpus needs anchors UNIQUE per doc "
-                    "(aggregate_anchor_text output) — duplicate anchor "
-                    "rows for the same doc_id found"
-                )
-            order = np.argsort(a_docs, kind="stable")
-            a_sorted = a_docs[order]
-            want = docs[is_c]
-            pos = np.searchsorted(a_sorted, want)
-            pos[pos == len(a_sorted)] = 0
-            found = a_sorted[pos] == want
-            texts = np.asarray([""] * len(want), dtype=object)
-            if found.any():
-                take = pa.array(order[pos[found]].astype(np.int64))
-                texts[found] = np.asarray(a_text.take(take).to_pylist(), dtype=object)
-            left = left.set_column(
-                left.schema.get_field_index(anchor_text_col),
-                anchor_text_col,
-                pa.array(texts.tolist(), pa.string()),
-            )
-        return left.cast(out_schema)
-
-    both = corpus.map_batches(tag_c, batch_format="pyarrow").union(
-        anchors.select_columns([doc_col, anchor_text_col]).map_batches(
-            tag_a, batch_format="pyarrow"
-        )
-    )
-    return exchange(both, [doc_col], attach, num_partitions=num_partitions)
+    return left_join_cp(
+        corpus,
+        anchors.select_columns([doc_col, anchor_text_col]),
+        key=doc_col,
+        num_partitions=num_partitions,
+        left_schema=base,
+        right_schema=anchor_schema,
+        right_unique=True,
+    ).map_batches(fill, batch_format="pyarrow")

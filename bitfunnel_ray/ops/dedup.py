@@ -139,6 +139,11 @@ class MinhashBands:
         return _band_table(doc_ids, sigs, self.bands)
 
 
+_BAND_SCHEMA = pa.schema(
+    [("band_id", pa.int32()), ("band_key", pa.int64()), ("doc_id", pa.int64())]
+)
+
+
 def _band_table(doc_ids: np.ndarray, sigs: np.ndarray, bands: int) -> pa.Table:
     """(n, 64) signature matrix → (band_id, band_key, doc_id) LSH rows —
     the shared kernel behind ``MinhashBands`` (signatures from text) and
@@ -162,11 +167,14 @@ def _band_table(doc_ids: np.ndarray, sigs: np.ndarray, bands: int) -> pa.Table:
             "band_id": pa.array(band_id.ravel(), pa.int32()),
             "band_key": pa.array(keys.ravel().view(np.int64), pa.int64()),
             "doc_id": pa.array(np.repeat(doc_ids.astype(np.int64), bands), pa.int64()),
-        }
+        },
+        schema=_BAND_SCHEMA,
     )
 
 
-def _pairs_from_block(t: pa.Table, *, max_group: int, cross: bool = False) -> pa.Table:
+def _pairs_from_block(
+    t: pa.Table, *, max_group: int, side: "np.ndarray | None" = None
+) -> pa.Table:
     """Vectorized all-pairs within equal (band_id, band_key) runs of one
     hash-partitioned block.  No per-group python: runs are found by sort +
     diff; pairs are emitted per run-LENGTH class with one broadcasted index
@@ -176,9 +184,8 @@ def _pairs_from_block(t: pa.Table, *, max_group: int, cross: bool = False) -> pa
     skipped run (the pair-dedup pass collapses them into a single
     counter row callers can read or filter).
 
-    ``cross=True`` (rows carry a ``side`` int8 column, 1=new / 0=ref):
-    emit only side-1 × side-0 pairs with doc_a = the NEW id — the
-    incremental-dedup shape."""
+    ``side`` given (one int8 per row, 1=new / 0=ref): emit only side-1 ×
+    side-0 pairs with doc_a = the NEW id — the incremental-dedup shape."""
     from bitfunnel_ray.functions.mem import tune_allocator
 
     tune_allocator()
@@ -190,11 +197,9 @@ def _pairs_from_block(t: pa.Table, *, max_group: int, cross: bool = False) -> pa
     bid = t["band_id"].to_numpy(zero_copy_only=False)
     key = t["band_key"].to_numpy(zero_copy_only=False)
     doc = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    side = (
-        t["side"].to_numpy(zero_copy_only=False)
-        if cross
-        else np.zeros(len(t), np.int8)
-    )
+    cross = side is not None
+    if not cross:
+        side = np.zeros(len(t), np.int8)
     order = np.lexsort((doc, side, key, bid))
     bid, key, doc, side = bid[order], key[order], doc[order], side[order]
     new = np.empty(len(bid), dtype=bool)
@@ -929,24 +934,9 @@ def minhash_dedup_pairs_table(
 # --- cross-corpus (incremental) dedup --------------------------------------
 
 
-def _with_side(v: int):
-    """Tag band rows with an int8 ``side`` column (1=new, 0=ref),
-    tolerating the zero-column empty blocks Ray 2.49 emits for empty
-    upstream partitions."""
-
-    def f(t: pa.Table) -> pa.Table:
-        if "band_id" not in t.column_names:  # zero-column empty block
-            return pa.table(
-                {
-                    "band_id": pa.array([], pa.int32()),
-                    "band_key": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "side": pa.array([], pa.int8()),
-                }
-            )
-        return t.append_column("side", pa.array(np.full(len(t), v, np.int8)))
-
-    return f
+def _cross_pairs_block(new: pa.Table, ref: pa.Table, *, max_group: int) -> pa.Table:
+    side = np.repeat(np.array([1, 0], np.int8), [len(new), len(ref)])
+    return _pairs_from_block(pa.concat_tables([new, ref]), max_group=max_group, side=side)
 
 
 def minhash_cross_candidates(
@@ -974,23 +964,21 @@ def minhash_cross_candidates(
     ignored for banding when given."""
     from functools import partial
 
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup, exchange
 
     if new_band_rows is None:
         new_band_rows = new.select_columns(["doc_id", "text"]).map_batches(
             MinhashBands(k, bands), batch_format="pyarrow"
         )
-    band_rows = new_band_rows.map_batches(
-        _with_side(1), batch_format="pyarrow"
-    ).union(
-        ref.select_columns(["doc_id", "text"])
-        .map_batches(MinhashBands(k, bands), batch_format="pyarrow")
-        .map_batches(_with_side(0), batch_format="pyarrow")
-    )
-    pairs = exchange(
-        band_rows,
+    pairs = cogroup(
+        new_band_rows,
+        ref.select_columns(["doc_id", "text"]).map_batches(
+            MinhashBands(k, bands), batch_format="pyarrow"
+        ),
         ["band_id", "band_key"],
-        partial(_pairs_from_block, max_group=max_group, cross=True),
+        partial(_cross_pairs_block, max_group=max_group),
+        left_schema=_BAND_SCHEMA,
+        right_schema=_BAND_SCHEMA,
     )
     return exchange(pairs, ["doc_a", "doc_b"], _dedup_pairs_block)
 
@@ -1422,30 +1410,20 @@ def _combine_doc_sizes(t: pa.Table) -> pa.Table:
     )
 
 
-def _attach_sizes_block(t: pa.Table) -> pa.Table:
-    """doc-partitioned block of size carriers (doc_a == sentinel) + pair
-    side-rows: fill each side-row's ``size`` from its doc's carrier, emit
-    side-rows only."""
-    if len(t) == 0:
-        return t
-    a = t["doc_a"].to_numpy(zero_copy_only=False)
-    carriers = a == _SENTINEL
-    cd = t["doc_id"].to_numpy(zero_copy_only=False)[carriers]
-    cs = t["size"].to_numpy(zero_copy_only=False)[carriers]
+def _attach_sizes_block(partials: pa.Table, pairs: pa.Table) -> pa.Table:
+    """doc-partitioned block of per-doc size partials + pair side-rows:
+    sum each doc's size, give each side-row its doc's ``size``."""
+    sizes = _combine_doc_sizes(partials)
+    cd = sizes["doc_id"].to_numpy(zero_copy_only=False)
+    cs = sizes["size"].to_numpy(zero_copy_only=False)
     order = np.argsort(cd)
     cd, cs = cd[order], cs[order]
-    side = t.filter(pa.array(~carriers))
-    if len(side) == 0:
-        return side
-    sd = side["doc_id"].to_numpy(zero_copy_only=False)
-    if len(cd) == 0:  # defensive: a side-row's doc always has a carrier
+    sd = pairs["doc_id"].to_numpy(zero_copy_only=False)
+    if len(cd) == 0:  # defensive: a side-row's doc always has a size
         size = np.zeros(len(sd), np.int64)
     else:
-        pos = np.clip(np.searchsorted(cd, sd), 0, len(cd) - 1)
-        size = cs[pos]
-    return side.set_column(
-        side.schema.get_field_index("size"), "size", pa.array(size, pa.int64())
-    )
+        size = cs[np.clip(np.searchsorted(cd, sd), 0, len(cd) - 1)]
+    return pairs.append_column("size", pa.array(size, pa.int64()))
 
 
 def _reduce_ngram_jaccard(t: pa.Table, *, threshold: float) -> pa.Table:
@@ -1503,7 +1481,7 @@ def ngram_jaccard_pairs(
     sf-scale deterministic-Table twin for tests/audits."""
     from functools import partial
 
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup, exchange
 
     rows = corpus.select_columns(["doc_id", "text"]).map_batches(
         partial(_shingle_doc_rows, k=k), batch_format="pyarrow"
@@ -1511,25 +1489,11 @@ def ngram_jaccard_pairs(
     mixed = exchange(
         rows, ["shingle"], partial(_jaccard_pairs_and_sizes_block, max_df=max_df)
     ).materialize()
-    sizes = exchange(mixed.filter(expr="doc_a < 0"), ["doc_id"], _combine_doc_sizes)
     inter = exchange(
         mixed.filter(expr="doc_a >= 0").select_columns(["doc_a", "doc_b"]),
         ["doc_a", "doc_b"],
         _dedup_pairs_block,
     )
-
-    def size_carrier(t: pa.Table) -> pa.Table:
-        n = len(t)
-        s = np.full(n, _SENTINEL, np.int64)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "doc_a": pa.array(s, pa.int64()),
-                "doc_b": pa.array(s, pa.int64()),
-                "inter": pa.array(np.zeros(n, np.int64), pa.int64()),
-                "size": t["size"],
-            }
-        )
 
     def explode_pairs(t: pa.Table) -> pa.Table:
         a = t["doc_a"].to_numpy(zero_copy_only=False)
@@ -1541,14 +1505,19 @@ def ngram_jaccard_pairs(
                 "doc_a": pa.array(np.concatenate([a, a]), pa.int64()),
                 "doc_b": pa.array(np.concatenate([b, b]), pa.int64()),
                 "inter": pa.array(np.concatenate([i, i]), pa.int64()),
-                "size": pa.array(np.zeros(2 * len(a), np.int64), pa.int64()),
             }
         )
 
-    unioned = sizes.map_batches(size_carrier, batch_format="pyarrow").union(
-        inter.map_batches(explode_pairs, batch_format="pyarrow")
+    i64 = pa.int64()
+    # size partials meet their docs' pair side-rows in one exchange
+    attached = cogroup(
+        mixed.filter(expr="doc_a < 0"),
+        inter.map_batches(explode_pairs, batch_format="pyarrow"),
+        ["doc_id"],
+        _attach_sizes_block,
+        left_schema=pa.schema([("doc_id", i64), ("n_part", i64)]),
+        right_schema=pa.schema([(c, i64) for c in ("doc_id", "doc_a", "doc_b", "inter")]),
     )
-    attached = exchange(unioned, ["doc_id"], _attach_sizes_block)
     return exchange(
         attached, ["doc_a", "doc_b"], partial(_reduce_ngram_jaccard, threshold=threshold)
     )

@@ -32,87 +32,50 @@ def corpus_diff(
 ) -> "ray.data.Dataset":
     """(doc_id, status) for every differing doc: 'added' (only in new),
     'removed' (only in old), 'changed' (both, text differs)."""
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup
 
-    def tag(which: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    id_col: t[id_col].cast(pa.int64()),
-                    "side": pa.array([which] * len(t), pa.string()),
-                    "text": t["text"],
-                }
-            )
+    side = pa.schema([(id_col, pa.int64()), ("text", pa.string())])
 
-        return f
-
-    both = old.select_columns([id_col, "text"]).map_batches(
-        tag("old"), batch_format="pyarrow"
-    ).union(
-        new.select_columns([id_col, "text"]).map_batches(
-            tag("new"), batch_format="pyarrow"
+    def diff_block(o: pa.Table, n: pa.Table) -> pa.Table:
+        oid = o[id_col].to_numpy(zero_copy_only=False)
+        nid = n[id_col].to_numpy(zero_copy_only=False)
+        gone, fresh = ~np.isin(oid, nid), ~np.isin(nid, oid)
+        one = np.concatenate([oid[gone], nid[fresh]])
+        order = np.argsort(one, kind="stable")
+        ids = [one[order]]
+        status = [np.repeat(["removed", "added"], [gone.sum(), fresh.sum()])[order]]
+        # docs on both sides, aligned by id: compare texts vectorized
+        ob, nb = np.flatnonzero(~gone), np.flatnonzero(~fresh)
+        ob, nb = ob[np.argsort(oid[ob])], nb[np.argsort(nid[nb])]
+        ne = pc.not_equal(
+            o["text"].take(pa.array(ob)), n["text"].take(pa.array(nb))
+        ).to_numpy(zero_copy_only=False)
+        ids.append(oid[ob][ne])
+        status.append(np.full(int(ne.sum()), "changed"))
+        return pa.table(
+            {
+                id_col: pa.array(np.concatenate(ids), pa.int64()),
+                "status": pa.array(np.concatenate(status).tolist(), pa.string()),
+            }
         )
+
+    return cogroup(
+        old.select_columns([id_col, "text"]),
+        new.select_columns([id_col, "text"]),
+        [id_col],
+        diff_block,
+        left_schema=side,
+        right_schema=side,
     )
 
-    def diff_block(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {id_col: pa.array([], pa.int64()), "status": pa.array([], pa.string())}
-        )
-        if len(t) == 0:
-            return empty
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        is_new = pc.equal(t["side"], "new").to_numpy(zero_copy_only=False)
-        order = np.lexsort((is_new, ids))
-        ids_s, new_s = ids[order], is_new[order]
-        txt = t["text"].take(pa.array(order))
-        starts = np.flatnonzero(np.diff(ids_s, prepend=ids_s[0] - 1))
-        counts = np.diff(np.append(starts, len(ids_s)))
-        out_ids, out_status = [], []
-        one = starts[counts == 1]
-        if len(one):
-            out_ids.append(ids_s[one])
-            out_status.append(
-                np.where(new_s[one], "added", "removed").astype(object)
-            )
-        two = starts[counts == 2]
-        if len(two):
-            # sorted (old, new) within each id: compare texts vectorized
-            a = txt.take(pa.array(two))
-            b = txt.take(pa.array(two + 1))
-            ne = pc.not_equal(a, b).to_numpy(zero_copy_only=False)
-            ch = two[ne]
-            if len(ch):
-                out_ids.append(ids_s[ch])
-                out_status.append(np.full(len(ch), "changed", dtype=object))
-        if not out_ids:
-            return empty
-        return pa.table(
-            {
-                id_col: pa.array(np.concatenate(out_ids), pa.int64()),
-                "status": pa.array(
-                    np.concatenate(out_status).tolist(), pa.string()
-                ),
-            }
-        )
 
-    return exchange(both, [id_col], diff_block)
-
-
-def _drift_join_block(t: pa.Table) -> pa.Table:
-    """Co-located (term, side, cnt) partials → one (term, cp, cq) row per
-    term (vectorized segment sums per side)."""
-    if len(t) == 0:
-        return pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "cp": pa.array([], pa.int64()),
-                "cq": pa.array([], pa.int64()),
-            }
-        )
-    d = pc.dictionary_encode(t["term"].combine_chunks())
+def _drift_join_block(p: pa.Table, q: pa.Table) -> pa.Table:
+    """Co-located (term, cf) partials of the two corpora → one (term, cp,
+    cq) row per term (vectorized segment sums per side)."""
+    d = pc.dictionary_encode(pa.concat_tables([p, q])["term"].combine_chunks())
     idx = d.indices.to_numpy()
-    is_p = pc.equal(t["side"], "p").to_numpy(zero_copy_only=False)
-    cnt = t["cnt"].to_numpy(zero_copy_only=False)
+    is_p = np.arange(len(idx)) < len(p)
+    cnt = np.concatenate([t["cf"].to_numpy(zero_copy_only=False) for t in (p, q)])
     cp = np.zeros(len(d.dictionary), dtype=np.int64)
     cq = np.zeros(len(d.dictionary), dtype=np.int64)
     np.add.at(cp, idx[is_p], cnt[is_p])
@@ -140,26 +103,17 @@ def drift_terms(
     differences cannot reorder ties."""
     from bitfunnel_ray.build.stats import document_frequency_table, top_k_by
     from bitfunnel_ray.config import EngineConfig
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup
 
     cfg = EngineConfig(max_gram=1)
-
-    def tagged(ds, side):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "term": t["term"],
-                    "side": pa.array([side] * len(t), pa.string()),
-                    "cnt": t["cf"].cast(pa.int64()),
-                }
-            )
-
-        return document_frequency_table(ds, cfg).select_columns(
-            ["term", "cf"]
-        ).map_batches(f, batch_format="pyarrow")
-
-    both = tagged(corpus_p, "p").union(tagged(corpus_q, "q"))
-    joined = exchange(both, ["term"], _drift_join_block).materialize()  # consumed 3x (two scalar aggs + the drift map)
+    side = pa.schema([("term", pa.string()), ("cf", pa.int64())])
+    p, q = (
+        document_frequency_table(ds, cfg).select_columns(["term", "cf"])
+        for ds in (corpus_p, corpus_q)
+    )
+    joined = cogroup(
+        p, q, ["term"], _drift_join_block, left_schema=side, right_schema=side
+    ).materialize()  # consumed 3x (two scalar aggs + the drift map)
     vocab_n = joined.count()
     sums = joined.sum(["cp", "cq"])
     np_tot = int(sums["sum(cp)"]) + vocab_n

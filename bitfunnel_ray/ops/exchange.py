@@ -1,13 +1,18 @@
 """How the engine distributes work: the one hash exchange (the only code
-that hash-partitions a Dataset on a key) and the keyless task wave
-(``fan_out``) for work over a list the driver already holds.
+that hash-partitions a Dataset on a key), its two-input form
+(``cogroup``, the only code that merges two Datasets into one
+transport), and the keyless task wave (``fan_out``) for work over a
+list the driver already holds.
 
 Every keyed stage has the same shape (SNIPPETS [1]'s
 ``repartition_by_column`` plus a whole-block kernel, the partition-first
 layout of "Partition, Don't Sort!"): ONE hash repartition on the key
 co-locates every row of a key in one block, then a vectorized kernel
 sees each whole partition as one pyarrow batch.  Joins, group-reduces,
-windowed kernels and iterative graph rounds are all that shape.
+windowed kernels and iterative graph rounds are all that shape.  A
+two-input stage (joins, attaches, diffs) is the same shape over two
+Datasets: ``cogroup`` records which side each row came from, exchanges
+both once, and hands the kernel each side's rows as their own table.
 
 Exchange policy on this Ray (2.49), measured (BASELINE.md):
 
@@ -35,6 +40,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+import pyarrow as pa
 import ray
 
 
@@ -64,6 +71,75 @@ def exchange(ds, keys, kernel, *, num_partitions: int | None = None):
     return ds.repartition(num_partitions or n, keys=list(keys)).map_batches(
         kernel, batch_size=None, batch_format="pyarrow"
     )
+
+
+_SIDE = "__side"  # transport only: 0 = left row, 1 = right row
+
+
+def _side_schema(ds, given) -> pa.Schema:
+    # inference executes a one-row sample (and sees nothing on an
+    # all-empty side): callers that know a side's schema pass it
+    s = given if given is not None else ds.schema()
+    if s is None:
+        raise ValueError(
+            "cogroup could not infer a side's schema (empty dataset?): pass "
+            "left_schema/right_schema explicitly"
+        )
+    return s if isinstance(s, pa.Schema) else s.base_schema
+
+
+def cogroup(
+    left,
+    right,
+    keys,
+    kernel,
+    *,
+    num_partitions: int | None = None,
+    left_schema: "pa.Schema | None" = None,
+    right_schema: "pa.Schema | None" = None,
+):
+    """Hash-partition ``left`` and ``right`` together on ``keys`` and run
+    ``kernel(left_tbl, right_tbl)`` once per partition.  Each table holds
+    only its side's rows, columns and schema (the declared
+    ``left_schema``/``right_schema``, inferred when omitted; blocks are
+    cast to it), and either may have zero rows.  A column name on both
+    sides travels in one column, so its types must agree."""
+    ls, rs = _side_schema(left, left_schema), _side_schema(right, right_schema)
+    fields = {f.name: f.with_nullable(True) for f in ls}
+    for f in rs:
+        have = fields.setdefault(f.name, f.with_nullable(True))
+        if have.type != f.type:
+            raise TypeError(
+                f"cogroup: column {f.name!r} is {have.type} on the left but "
+                f"{f.type} on the right"
+            )
+    missing = [k for k in keys if k not in ls.names or k not in rs.names]
+    if missing:
+        raise ValueError(f"cogroup: key columns {missing} are not on both sides")
+    transport = pa.schema([*fields.values(), pa.field(_SIDE, pa.int8())])
+
+    def tag(t: pa.Table, side: int, names: frozenset) -> pa.Table:
+        if len(t) == 0:  # includes Ray 2.49's zero-column empty blocks
+            return transport.empty_table()
+        cols = {
+            f.name: t[f.name] if f.name in names else pa.nulls(len(t), f.type)
+            for f in fields.values()
+        }
+        cols[_SIDE] = pa.array(np.full(len(t), side, np.int8))
+        return pa.table(cols, schema=transport)
+
+    def split(t: pa.Table) -> pa.Table:
+        if len(t) == 0 or _SIDE not in t.column_names:
+            return kernel(ls.empty_table(), rs.empty_table())
+        is_r = t[_SIDE].to_numpy(zero_copy_only=False) == 1
+        return kernel(
+            t.filter(pa.array(~is_r)).select(ls.names).cast(ls),
+            t.filter(pa.array(is_r)).select(rs.names).cast(rs),
+        )
+
+    left = left.map_batches(tag, fn_args=(0, frozenset(ls.names)), batch_format="pyarrow")
+    right = right.map_batches(tag, fn_args=(1, frozenset(rs.names)), batch_format="pyarrow")
+    return exchange(left.union(right), keys, split, num_partitions=num_partitions)
 
 
 @ray.remote

@@ -24,6 +24,8 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 
+from bitfunnel_ray.query.wand import topk_order
+
 _R = 6_371_000.0  # mean Earth radius, meters (the common haversine constant)
 
 
@@ -99,12 +101,7 @@ def geo_nearest(
             return pa.table(
                 {id_col: pa.array([], pa.int64()), "distance_m": pa.array([], pa.float64())}
             )
-        kk = min(k, len(d))
-        part = np.argpartition(d, kk - 1)[:kk]
-        # ties at the boundary compete under the total order
-        thresh = d[part].max()
-        cand = np.flatnonzero(d <= thresh)
-        sel = cand[np.lexsort((ids[cand], d[cand]))[:kk]]
+        sel = topk_order(-d, ids, k)  # negation is exact: ties order the same
         return pa.table(
             {
                 id_col: pa.array(ids[sel], pa.int64()),
@@ -129,7 +126,7 @@ def geo_nearest(
     all_t = pa.concat_tables(tables)
     ids = all_t[id_col].to_numpy(zero_copy_only=False)
     d = all_t["distance_m"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, d))[:k]
+    order = topk_order(-d, ids, k)
     return pa.table(
         {
             id_col: pa.array(ids[order], pa.int64()),

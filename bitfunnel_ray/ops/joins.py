@@ -1,16 +1,17 @@
 """Join operators Ray Data lacks as primitives, composed the way the
 task brief prescribes: an **as-of join** (latest right row at or before
-each left row's timestamp, per key) and a **broadcast dimension join**
-(small side shipped once via ``ray.put``, looked up map-side — never a
-shuffle join).
+each left row's timestamp, per key), a **range join**, the
+co-partitioned equi-joins, and a **broadcast dimension join** (small
+side shipped once via ``ray.put``, looked up map-side — never a shuffle
+join).
 
-As-of shape: both sides are tagged and UNIONED into one stream, ONE hash
-exchange on the join key co-locates each key's full history, then one
-vectorized kernel per block sorts (key, ts, side, id) and forward-fills
-the latest right-row position with a single ``np.maximum.accumulate`` —
-no per-key python, no driver funnel.  The partitioning assumption is the
-same as sessionize (ops/sessions.py): one key's history fits one block,
-true for per-user/device event keys at web scale.
+Every two-sided join here is one ``ops/exchange.cogroup`` on the join
+key plus a vectorized kernel over the two sides of each partition.  The
+as-of kernel sorts (key, ts, side, id) and forward-fills the latest
+right-row position with a single ``np.maximum.accumulate`` — no per-key
+python, no driver funnel.  The partitioning assumption is the same as
+sessionize (ops/sessions.py): one key's history fits one block, true
+for per-user/device event keys at web scale.
 
 Tie semantics (documented, oracle-exact): right rows at ts equal to the
 left row's ts DO match (inclusive); among right candidates with the same
@@ -35,13 +36,26 @@ _ASOF_SCHEMA = pa.schema(
 )
 
 
-def _asof_block(t: pa.Table) -> pa.Table:
-    if len(t) == 0:
-        return _ASOF_SCHEMA.empty_table()
-    k = t["key"].to_numpy(zero_copy_only=False)
-    ts = t["ts_us"].to_numpy(zero_copy_only=False)
-    rid = t["rid"].to_numpy(zero_copy_only=False)
-    side = t["side"].to_numpy(zero_copy_only=False)  # 0=right, 1=left
+def _int64_side(ds, cols: dict):
+    """``ds``'s columns renamed ``{source: name}``, and the all-int64
+    schema ``cogroup`` casts them to."""
+    schema = pa.schema([(name, pa.int64()) for name in cols.values()])
+    return ds.select_columns(list(cols)).rename_columns(cols), schema
+
+
+def _stacked(first: pa.Table, second: pa.Table, names) -> tuple:
+    """The int64 columns ``names`` of ``first`` then ``second`` as numpy
+    arrays, plus each row's side (0 = first, 1 = second)."""
+    cols = tuple(
+        np.concatenate([t[n].to_numpy(zero_copy_only=False) for t in (first, second)])
+        for n in names
+    )
+    side = np.repeat(np.array([0, 1], np.int8), [len(first), len(second)])
+    return cols + (side,)
+
+
+def _asof_block(left: pa.Table, right: pa.Table) -> pa.Table:
+    k, ts, rid, side = _stacked(right, left, ("key", "ts_us", "rid"))  # 0=right, 1=left
     # sort: right rows precede left at equal ts (inclusive match); right
     # rows with equal ts ascend by id so the forward-fill picks max id
     order = np.lexsort((rid, side, ts, k))
@@ -78,28 +92,11 @@ def asof_join(
     ``right.ts <= left.ts``; ties on ts broken by largest ``id_col``.
     Returns (key, left_id, left_ts_us, right_id, right_ts_us); left rows
     with no matching right row are dropped (inner as-of)."""
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup
 
-    def prep(tag: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "key": t[key].cast(pa.int64()),
-                    "ts_us": t[ts].cast(pa.int64()),
-                    "rid": t[id_col].cast(pa.int64()),
-                    "side": pa.array(np.full(len(t), tag, dtype=np.int8)),
-                }
-            )
-
-        return f
-
-    cols = [key, ts, id_col]
-    both = (
-        right.select_columns(cols)
-        .map_batches(prep(0), batch_format="pyarrow")
-        .union(left.select_columns(cols).map_batches(prep(1), batch_format="pyarrow"))
-    )
-    return exchange(both, ["key"], _asof_block)
+    cols = {key: "key", ts: "ts_us", id_col: "rid"}
+    (l, ls), (r, rs) = _int64_side(left, cols), _int64_side(right, cols)
+    return cogroup(l, r, ["key"], _asof_block, left_schema=ls, right_schema=rs)
 
 
 class _BlocklistFilter:
@@ -144,10 +141,10 @@ def anti_join(
     ``ray.put``, map-side ``np.isin``, no exchange.
 
     ``broadcast=False`` (blocklist is a Dataset too big to broadcast):
-    both sides are tagged, unioned, and co-partitioned by key in ONE hash
-    exchange; each block then drops left rows whose key occurs among its
-    right rows — the distributed anti-join shape (same partitioning
-    contract as asof_join)."""
+    both sides are co-partitioned by key in ONE ``cogroup``; each
+    partition then drops big rows whose key occurs among its blocklist
+    rows — the distributed anti-join shape (same partitioning contract
+    as asof_join)."""
     import ray as _ray
 
     if broadcast:
@@ -162,38 +159,22 @@ def anti_join(
             batch_format="pyarrow",
         )
 
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup
 
     big_schema = big.schema().base_schema  # pyarrow schema
 
-    def tag(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            if side == 0:
-                # blocklist rows widen to the big schema (nulls) so the
-                # union is schema-stable through the exchange
-                t = pa.table(
-                    {
-                        f.name: t[key] if f.name == key else pa.nulls(len(t), f.type)
-                        for f in big_schema
-                    }
-                )
-            return t.append_column(
-                "_side", pa.array(np.full(len(t), side, dtype=np.int8))
-            )
+    def drop_blocked(b: pa.Table, blocked: pa.Table) -> pa.Table:
+        k = b[key].to_numpy(zero_copy_only=False)
+        return b.filter(pa.array(~np.isin(k, blocked[key].to_numpy(zero_copy_only=False))))
 
-        return f
-
-    def drop_blocked(t: pa.Table) -> pa.Table:
-        side = t["_side"].to_numpy(zero_copy_only=False)
-        k = t[key].to_numpy(zero_copy_only=False)
-        blocked = np.unique(k[side == 0])
-        keep = (side == 1) & ~np.isin(k, blocked)
-        return t.filter(pa.array(keep)).drop_columns(["_side"])
-
-    both = big.map_batches(tag(1), batch_format="pyarrow").union(
-        blocklist.select_columns([key]).map_batches(tag(0), batch_format="pyarrow")
+    return cogroup(
+        big,
+        blocklist,
+        [key],
+        drop_blocked,
+        left_schema=big_schema,
+        right_schema=pa.schema([big_schema.field(key)]),
     )
-    return exchange(both, [key], drop_blocked)
 
 
 class _DimLookup:
@@ -268,14 +249,11 @@ _RANGE_SCHEMA = pa.schema(
 )
 
 
-def _range_block(t: pa.Table) -> pa.Table:
-    if len(t) == 0:
-        return _RANGE_SCHEMA.empty_table()
-    k = t["key"].to_numpy(zero_copy_only=False)
-    ts = t["ts_us"].to_numpy(zero_copy_only=False)
-    rid = t["rid"].to_numpy(zero_copy_only=False)
-    end = t["end_us"].to_numpy(zero_copy_only=False)
-    side = t["side"].to_numpy(zero_copy_only=False)  # 0=interval, 1=point
+def _range_block(points: pa.Table, intervals: pa.Table) -> pa.Table:
+    k, ts, rid, end, side = _stacked(
+        intervals, points.append_column("end_us", pa.array(np.zeros(len(points), np.int64))),
+        ("key", "ts_us", "rid", "end_us"),
+    )  # 0=interval, 1=point
     order = np.lexsort((side, ts, k))  # interval before point at equal ts
     k, ts, rid, end, side = k[order], ts[order], rid[order], end[order], side[order]
     n = len(k)
@@ -329,71 +307,59 @@ def range_join(
     checked per block, loud error otherwise); overlapping-interval
     workloads need marker replication per time bucket instead.
 
-    Same scale shape as asof_join: one tagged union + one hash exchange
-    on ``key``, then a vectorized forward-fill sweep per block — no
-    per-row python, no driver gather.  → (key, left_id, ts_us, iv_id).
+    Same scale shape as asof_join: one ``cogroup`` on ``key``, then a
+    vectorized forward-fill sweep per partition — no per-row python, no
+    driver gather.  → (key, left_id, ts_us, iv_id).
     """
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup
 
-    def prep_points(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t[key].cast(pa.int64()),
-                "ts_us": t[ts].cast(pa.int64()),
-                "rid": t[id_col].cast(pa.int64()),
-                "end_us": pa.array(np.zeros(len(t), dtype=np.int64)),
-                "side": pa.array(np.ones(len(t), dtype=np.int8)),
-            }
-        )
-
-    def prep_iv(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": t[key].cast(pa.int64()),
-                "ts_us": t[start].cast(pa.int64()),
-                "rid": t[iv_id].cast(pa.int64()),
-                "end_us": t[end].cast(pa.int64()),
-                "side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            }
-        )
-
-    both = (
-        intervals.select_columns([key, start, end, iv_id])
-        .map_batches(prep_iv, batch_format="pyarrow")
-        .union(
-            points.select_columns([key, ts, id_col]).map_batches(
-                prep_points, batch_format="pyarrow"
-            )
-        )
+    p, ps = _int64_side(points, {key: "key", ts: "ts_us", id_col: "rid"})
+    iv, ivs = _int64_side(
+        intervals, {key: "key", start: "ts_us", iv_id: "rid", end: "end_us"}
     )
-    return exchange(both, ["key"], _range_block)
+    return cogroup(p, iv, ["key"], _range_block, left_schema=ps, right_schema=ivs)
 
 
 def _cp_join_block(
-    t: pa.Table, *, key: str, lnames: tuple, rnames: tuple, out_schema: pa.Schema, how: str
+    lt: pa.Table,
+    rt: pa.Table,
+    *,
+    key: str,
+    lnames: tuple,
+    rnames: tuple,
+    out_schema: pa.Schema,
+    how: str,
+    right_unique: bool,
 ) -> pa.Table:
-    """Equi-join within one key-partitioned block: side-1 (left) rows ×
-    side-0 (right) rows → full many-to-many match per key; ``how="left"``
-    also keeps every unmatched left row once, right payload null.
-    Vectorized: sort the right side's keys, locate each left row's match
-    range with two searchsorteds, expand with the arange-minus-offsets
-    trick; payload columns ride along via Arrow ``take`` (a null index
-    takes a null).  Guards the zero-column empty blocks Ray 2.49 lets
-    through skipped maps."""
-    if len(t) == 0 or "_side" not in t.column_names:
-        return out_schema.empty_table()
-    is_l = t["_side"].to_numpy(zero_copy_only=False) == 1
-    lt = t.filter(pa.array(is_l)).combine_chunks()
-    rt = t.filter(pa.array(~is_l)).combine_chunks()
+    """Equi-join within one key-partitioned block: left rows × right rows
+    → full many-to-many match per key; ``how="left"`` also keeps every
+    unmatched left row once, right payload null.  Vectorized: sort the
+    right side's keys, locate each left row's match range with two
+    searchsorteds, expand with the arange-minus-offsets trick; payload
+    columns ride along via Arrow ``take`` (a null index takes a null)."""
+    # SQL null semantics: a null key never matches (it would otherwise
+    # surface as NaN after to_numpy, where NaN==NaN ranges falsely match
+    # and int64 keys degrade to float64); only a left-outer left side
+    # keeps its null-key rows
+    if rt[key].null_count:
+        rt = rt.filter(pc.is_valid(rt[key]))
+    if how == "inner" and lt[key].null_count:
+        lt = lt.filter(pc.is_valid(lt[key]))
+    rt = rt.combine_chunks()
+    rk = rt[key].to_numpy(zero_copy_only=False)
+    if right_unique and len(np.unique(rk)) != len(rk):
+        raise ValueError(
+            f"join needs right-side rows UNIQUE per {key}: duplicate right "
+            f"rows for one {key} found"
+        )
     if not len(lt) or (how == "inner" and not len(rt)):
         return out_schema.empty_table()
-    # only a left-outer left side keeps null keys: they match nothing
+    lt = lt.combine_chunks()
     lkey = lt[key]
     lvalid = pc.is_valid(lkey).to_numpy(zero_copy_only=False)
     if lkey.null_count:
         lkey = pc.fill_null(lkey, pa.scalar(0, lkey.type))
     lk = lkey.to_numpy(zero_copy_only=False)
-    rk = rt[key].to_numpy(zero_copy_only=False)
     order = np.argsort(rk, kind="stable")
     rk_sorted = rk[order]
     lo = np.searchsorted(rk_sorted, lk, side="left")
@@ -424,58 +390,35 @@ def _cp_join_block(
     return pa.table(cols, schema=out_schema)
 
 
-def _join_cp(left, right, *, key, how, num_partitions=None, left_schema=None, right_schema=None):
+def _join_cp(
+    left, right, *, key, how, num_partitions=None, left_schema=None, right_schema=None,
+    right_unique=False,
+):
     from functools import partial as _p
 
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import _side_schema, cogroup
 
-    # schema inference EXECUTES a sample and returns None on an
-    # all-empty side — callers that can feed an empty dataset (e.g. a
-    # linkless corpus's link side) pass the schemas explicitly
-    ls = left_schema or left.schema()
-    rs = right_schema or right.schema()
-    if ls is None or rs is None:
-        raise ValueError(
-            "co-partitioned join could not infer a side's schema (empty "
-            "dataset?) — pass left_schema/right_schema explicitly"
-        )
-    lbase = ls if isinstance(ls, pa.Schema) else ls.base_schema
-    rbase = rs if isinstance(rs, pa.Schema) else rs.base_schema
+    lbase = _side_schema(left, left_schema)
+    rbase = _side_schema(right, right_schema)
     lnames = tuple(f.name for f in lbase if f.name != key)
     rnames = tuple(f.name for f in rbase if f.name != key)
     clash = set(lnames) & set(rnames)
     if clash:
         raise ValueError(f"co-partitioned join payload column clash: {sorted(clash)}")
-    key_type = lbase.field(key).type
-    payload = [lbase.field(n) for n in lnames] + [rbase.field(n) for n in rnames]
-    transport = pa.schema([pa.field(key, key_type), pa.field("_side", pa.int8())] + payload)
-    out_schema = pa.schema([pa.field(key, key_type)] + payload)
-
-    def tag(t: pa.Table, *, side: int) -> pa.Table:
-        if len(t) == 0 or key not in t.column_names:
-            return transport.empty_table()
-        # SQL null semantics: a null key never matches — drop it here
-        # (it would otherwise surface as NaN after to_numpy, where
-        # NaN==NaN ranges falsely match and int64 keys degrade to
-        # float64); a left-outer join still emits its null-key left rows
-        kcol = t[key]
-        if kcol.null_count and (side == 0 or how == "inner"):
-            t = t.filter(pc.is_valid(kcol))
-            if len(t) == 0:
-                return transport.empty_table()
-        mine = lnames if side == 1 else rnames
-        cols = {key: t[key].cast(key_type), "_side": pa.array(np.full(len(t), side, np.int8))}
-        for f in payload:
-            cols[f.name] = t[f.name] if f.name in mine else pa.nulls(len(t), f.type)
-        return pa.table(cols, schema=transport)
-
-    both = left.map_batches(_p(tag, side=1), batch_format="pyarrow").union(
-        right.map_batches(_p(tag, side=0), batch_format="pyarrow")
+    # the right key is cast to the left key's type
+    key_field = lbase.field(key)
+    rbase = rbase.set(rbase.get_field_index(key), key_field)
+    out_schema = pa.schema(
+        [key_field] + [lbase.field(n) for n in lnames] + [rbase.field(n) for n in rnames]
     )
     kernel = _p(
-        _cp_join_block, key=key, lnames=lnames, rnames=rnames, out_schema=out_schema, how=how
+        _cp_join_block, key=key, lnames=lnames, rnames=rnames, out_schema=out_schema,
+        how=how, right_unique=right_unique,
     )
-    return exchange(both, [key], kernel, num_partitions=num_partitions)
+    return cogroup(
+        left, right, [key], kernel, num_partitions=num_partitions,
+        left_schema=lbase, right_schema=rbase,
+    )
 
 
 def inner_join_cp(
@@ -491,9 +434,9 @@ def inner_join_cp(
     sides share) — the engine's replacement for ``Dataset.join``, which
     on this Ray (2.49) dies when an input contains the zero-column empty
     blocks that skipped upstream schema-changing maps ("No match for
-    FieldRef...").  Both sides are tagged into ONE transport schema
-    (other side's payload columns null), hash-exchanged on ``key``, and
-    joined by a vectorized block kernel (full many-to-many semantics).
+    FieldRef...").  One ``cogroup`` on ``key`` (the right key cast to
+    the left key's type), then a vectorized block kernel (full
+    many-to-many semantics; a null key matches nothing).
     Output columns: key + left payload + right payload (names must be
     disjoint apart from ``key``).  Exchange volume = both sides once —
     the same as a shuffle join, minus the string keys when callers
@@ -507,7 +450,9 @@ def inner_join_cp(
 def left_join_cp(left, right, *, key: str, **kw) -> "ray.data.Dataset":
     """Co-partitioned LEFT OUTER equi-join: ``inner_join_cp``'s rows plus
     every left row without a match (null key included) once, with null
-    right payload.  Same arguments, transport, exchange and kernel."""
+    right payload.  Same arguments, exchange and kernel; with
+    ``right_unique=True`` a key held by two right rows raises instead of
+    duplicating its left rows."""
     return _join_cp(left, right, key=key, how="left", **kw)
 
 

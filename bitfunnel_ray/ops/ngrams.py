@@ -118,35 +118,14 @@ def _totals_partial(t: pa.Table) -> pa.Table:
     )
 
 
-def _word_key(t: pa.Table, *, col: str) -> pa.Table:
-    """Tag a (word-keyed) side for the repartition join."""
-    return t.append_column("w", t[col])
-
-
-def _join_unigram(t: pa.Table, *, out_col: str) -> pa.Table:
-    """Per-block equi-join kernel after a hash exchange on ``w``: unigram
-    rows (ucnt non-null) resolve the count for every bigram row (pcnt
-    non-null) sharing the key.  Every bigram's word exists as a unigram
-    by construction, so the lookup asserts totality."""
-    ucnt = t["ucnt"].to_numpy(zero_copy_only=False)
-    is_uni = ~np.isnan(ucnt)
-    w = np.asarray(t["w"].to_pylist(), dtype=object)
-    uw = w[is_uni]
-    order = np.argsort(uw)
-    uw, uc = uw[order], ucnt[is_uni][order].astype(np.int64)
-    big = t.filter(pa.array(~is_uni))
-    if len(big) == 0:
-        cols = {c: big[c] for c in big.schema.names if c not in ("w", "ucnt")}
-        cols[out_col] = pa.array([], pa.int64())
-        return pa.table(cols)
-    bw = np.asarray(big["w"].to_pylist(), dtype=object)
-    pos = np.searchsorted(uw, bw)
-    assert len(uw) and (uw[np.minimum(pos, len(uw) - 1)] == bw).all(), (
-        "bigram word missing from unigram vocabulary"
-    )
-    cols = {c: big[c] for c in big.schema.names if c not in ("w", "ucnt")}
-    cols[out_col] = pa.array(uc[pos], pa.int64())
-    return pa.table(cols)
+def _attach_count(big: pa.Table, uni: pa.Table, *, key: str, out_col: str) -> pa.Table:
+    """Per-partition equi-join after a ``cogroup`` on ``key``: each
+    bigram row gains its ``key`` word's unigram count.  Every bigram's
+    word exists as a unigram by construction, so the lookup asserts
+    totality."""
+    pos = pc.index_in(big[key], value_set=uni[key].combine_chunks())
+    assert pos.null_count == 0, "bigram word missing from unigram vocabulary"
+    return big.append_column(out_col, uni[out_col].take(pos))
 
 
 def pmi_collocations(
@@ -165,13 +144,13 @@ def pmi_collocations(
     gram asc.
 
     Scale shape: NO broadcast of the vocabulary — unigram counts attach
-    to the surviving bigrams via two repartition joins keyed on the left
-    then the right word (union-tag → hash exchange → per-block
-    searchsorted resolve), so every exchange carries (word, count)-sized
-    rows.  N1/N2 come from one extra map-only scan of the corpus.  The
-    final float is computed in ONE fixed expression order so the DuckDB
-    oracle is bit-identical after round(,6)."""
-    from bitfunnel_ray.ops.exchange import exchange
+    to the surviving bigrams via two ``cogroup`` joins keyed on the left
+    then the right word (per-partition ``index_in`` resolve), so every
+    exchange carries (word, count)-sized rows.  N1/N2 come from one
+    extra map-only scan of the corpus.  The final float is computed in
+    ONE fixed expression order so the DuckDB oracle is bit-identical
+    after round(,6)."""
+    from bitfunnel_ray.ops.exchange import cogroup
     from bitfunnel_ray.build.stats import top_k_by
 
     totals = (
@@ -190,38 +169,6 @@ def pmi_collocations(
             }
         )
 
-    # ONE row schema for both exchange passes (union needs identical
-    # schemas): unigram rows carry (w, ucnt) and nulls elsewhere; bigram
-    # rows carry the payload, nan ucnt, and w = the key word of the pass
-    _FIELDS = [
-        ("w", pa.string()),
-        ("ucnt", pa.float64()),
-        ("gram", pa.string()),
-        ("pcnt", pa.int64()),
-        ("left", pa.string()),
-        ("right", pa.string()),
-        ("c_left", pa.int64()),
-        ("c_right", pa.int64()),
-    ]
-    _SCHEMA = pa.schema(_FIELDS)
-
-    def _pad(t: pa.Table) -> pa.Table:
-        cols = {}
-        for name, typ in _FIELDS:
-            if name in t.schema.names:
-                cols[name] = t[name].cast(typ)
-            else:
-                cols[name] = pa.nulls(len(t), typ)
-        return pa.table(cols).cast(_SCHEMA)
-
-    uni = ngram_counts(corpus, 1).map_batches(
-        lambda t: _pad(
-            pa.table({"w": t["gram"], "ucnt": t["count"].cast(pa.float64())})
-        ),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-
     def _split_filter(t: pa.Table) -> pa.Table:
         keep = pc.greater_equal(t["count"], pa.scalar(min_count))
         t = t.filter(keep)
@@ -235,24 +182,25 @@ def pmi_collocations(
             }
         )
 
-    big = ngram_counts(corpus, 2).map_batches(
+    joined = ngram_counts(corpus, 2).map_batches(
         _split_filter, batch_format="pyarrow", batch_size=None
     )
-
-    def _tag_big(t: pa.Table, key: str) -> pa.Table:
-        t = t.drop_columns([c for c in ("w", "ucnt") if c in t.schema.names])
-        out = t.append_column("w", t[key]).append_column(
-            "ucnt", pa.array(np.full(len(t), np.nan), pa.float64())
-        )
-        return _pad(out)
-
+    schema = pa.schema(
+        [("gram", pa.string()), ("pcnt", pa.int64()), ("left", pa.string()), ("right", pa.string())]
+    )
+    unigrams = ngram_counts(corpus, 1)
     # pass 1: resolve c_left; pass 2: resolve c_right
-    joined = big
     for key, out_col in (("left", "c_left"), ("right", "c_right")):
-        tagged = joined.map_batches(
-            partial(_tag_big, key=key), batch_format="pyarrow", batch_size=None
-        ).union(uni)
-        joined = exchange(tagged, ["w"], partial(_join_unigram, out_col=out_col))
+        uni = pa.schema([(key, pa.string()), (out_col, pa.int64())])
+        joined = cogroup(
+            joined,
+            unigrams.rename_columns({"gram": key, "count": out_col}),
+            [key],
+            partial(_attach_count, key=key, out_col=out_col),
+            left_schema=schema,
+            right_schema=uni,
+        )
+        schema = schema.append(uni.field(out_col))
 
     def _pmi(t: pa.Table) -> pa.Table:
         if len(t) == 0:

@@ -51,6 +51,7 @@ from bitfunnel_ray.ops.ann import (
     _final_topk_reduce,
     _seeded_init_centroids,
 )
+from bitfunnel_ray.query.wand import topk_order
 
 
 def _unit_rows(t: pa.Table, vec_col: str) -> np.ndarray:
@@ -215,10 +216,8 @@ def _adc_batch(
         s = np.zeros(len(t), np.float64)
         for j in range(m):  # m uint8 gathers — the whole ADC scan
             s += lut[qi, j][codes[:, j]]
-        kk = min(k, len(s))
-        part = np.argpartition(-s, kk - 1)[:kk]
-        sel = part[np.lexsort((ids[part], -s[part]))]
-        out_q.append(np.full(kk, qi, np.int64))
+        sel = topk_order(s, ids, k)
+        out_q.append(np.full(len(sel), qi, np.int64))
         out_id.append(ids[sel])
         out_s.append(s[sel])
     return pa.table(

@@ -22,10 +22,10 @@ Scale shape (three stages, two hash exchanges, text moves ONCE):
 2. exchange on window_hash: each partition sees every occurrence of its
    hashes; a vectorized boundary scan keeps the (doc_id, start)-min
    owner per hash and emits the rest as removal directives.
-3. exchange on doc_id (tagged union of the corpus text with the
-   removal directives): one vectorized difference-array sweep per block
-   unions the removed spans and rebuilds the text with an Arrow
-   list-join — no per-token python.
+3. ``cogroup`` of the corpus text with the removal directives on
+   doc_id: one vectorized difference-array sweep per partition unions
+   the removed spans and rebuilds the text with an Arrow list-join — no
+   per-token python.
 
 Window hashes are 64-bit polynomial combinations of 64-bit token
 hashes; a collision needs two different windows agreeing mod 2^64
@@ -65,7 +65,7 @@ def _window_hashes(ht: np.ndarray, k: int) -> np.ndarray:
     return H
 
 
-def _window_rows(t: pa.Table, *, k: int, id_col: str, text_col: str) -> pa.Table:
+def _window_rows(t: pa.Table, *, k: int) -> pa.Table:
     empty = pa.table(
         {
             "h": pa.array([], pa.int64()),
@@ -75,7 +75,7 @@ def _window_rows(t: pa.Table, *, k: int, id_col: str, text_col: str) -> pa.Table
     )
     if len(t) == 0:
         return empty
-    flat, doc_of, doclen = flat_tokens(t[text_col])
+    flat, doc_of, doclen = flat_tokens(t["text"])
     ht = hash_token_array(flat)
     H = _window_hashes(ht, k)
     if not len(H):
@@ -85,7 +85,7 @@ def _window_rows(t: pa.Table, *, k: int, id_col: str, text_col: str) -> pa.Table
     idx = np.flatnonzero(valid)
     offsets = np.concatenate(([0], np.cumsum(doclen)))
     d = doc_of[idx]
-    ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(
         {
             "h": pa.array(H[idx].view(np.int64), pa.int64()),
@@ -95,14 +95,14 @@ def _window_rows(t: pa.Table, *, k: int, id_col: str, text_col: str) -> pa.Table
     )
 
 
+_REMOVALS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("start", pa.int64())])
+
+
 def _removals(t: pa.Table) -> pa.Table:
     """Per co-located hash group: drop the (doc_id, start)-min owner row,
     emit every other occurrence as a removal directive."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "start": pa.array([], pa.int64())}
-    )
     if len(t) == 0:
-        return empty
+        return _REMOVALS_SCHEMA.empty_table()
     h = t["h"].to_numpy(zero_copy_only=False)
     d = t["doc_id"].to_numpy(zero_copy_only=False)
     s = t["start"].to_numpy(zero_copy_only=False)
@@ -112,37 +112,26 @@ def _removals(t: pa.Table) -> pa.Table:
     owner[0] = True
     owner[1:] = h[1:] != h[:-1]
     keep = ~owner
-    return pa.table(
-        {"doc_id": pa.array(d[keep], pa.int64()), "start": pa.array(s[keep], pa.int64())}
-    )
+    return pa.table({"doc_id": d[keep], "start": s[keep]}, schema=_REMOVALS_SCHEMA)
 
 
-def _strip(t: pa.Table, *, k: int) -> pa.Table:
-    """Per co-located doc group (tagged union: start == -1 rows carry the
-    text, start >= 0 rows are removal directives): union removed spans
-    with a difference array over the flat token stream, rebuild text."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
-    )
-    if len(t) == 0:
-        return empty
-    start = t["start"].to_numpy(zero_copy_only=False)
-    doc_rows = np.flatnonzero(start == -1)
-    rem_rows = np.flatnonzero(start >= 0)
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    d_ids = ids[doc_rows]
+def _strip(docs: pa.Table, removals: pa.Table, *, k: int) -> pa.Table:
+    """Per co-located doc group: union the removed spans with a
+    difference array over the flat token stream, rebuild text."""
+    d_ids = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(d_ids, kind="stable")
     d_ids = d_ids[order]
-    texts = t["text"].take(pa.array(doc_rows[order]))
+    texts = docs["text"].take(pa.array(order))
     flat, doc_of, doclen = flat_tokens(texts)
     offsets = np.concatenate(([0], np.cumsum(doclen)))
     diff = np.zeros(int(offsets[-1]) + 1, np.int64)
-    if len(rem_rows):
-        pos = np.searchsorted(d_ids, ids[rem_rows])
+    if len(removals):
+        r_ids = removals["doc_id"].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(d_ids, r_ids)
         # every directive's doc must be in this partition (same key)
-        if (pos >= len(d_ids)).any() or (d_ids[pos] != ids[rem_rows]).any():
+        if (pos >= len(d_ids)).any() or (d_ids[pos] != r_ids).any():
             raise ValueError("removal directive for a document outside its partition")
-        g0 = offsets[pos] + start[rem_rows]
+        g0 = offsets[pos] + removals["start"].to_numpy(zero_copy_only=False)
         np.add.at(diff, g0, 1)
         np.add.at(diff, g0 + k, -1)  # window fits its doc by construction
     covered = np.cumsum(diff[:-1]) > 0
@@ -177,37 +166,20 @@ def dedup_substrings(
     Dataset (doc_id, text).  Whitespace inside surviving text is
     normalized to single spaces (tokens are rejoined with ' ', the same
     recipe as the SQL oracle's string_agg)."""
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup, exchange
 
     if k < 2:
         raise ValueError("k must be >= 2 (a 1-token window dedups the vocabulary)")
-    slim = docs.select_columns([id_col, text_col])
-
-    windows = slim.map_batches(
-        partial(_window_rows, k=k, id_col=id_col, text_col=text_col),
-        batch_format="pyarrow",
+    slim = docs.select_columns([id_col, text_col]).rename_columns(
+        {id_col: "doc_id", text_col: "text"}
     )
+    windows = slim.map_batches(partial(_window_rows, k=k), batch_format="pyarrow")
     removals = exchange(windows, ["h"], _removals)
-
-    def tag_docs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": t[id_col].cast(pa.int64()),
-                "start": pa.array(np.full(len(t), -1, np.int64), pa.int64()),
-                "text": pc.cast(t[text_col], pa.string()),
-            }
-        )
-
-    def tag_removals(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "start": t["start"],
-                "text": pa.array([None] * len(t), pa.string()),
-            }
-        )
-
-    tagged = slim.map_batches(tag_docs, batch_format="pyarrow").union(
-        removals.map_batches(tag_removals, batch_format="pyarrow")
+    return cogroup(
+        slim,
+        removals,
+        ["doc_id"],
+        partial(_strip, k=k),
+        left_schema=pa.schema([("doc_id", pa.int64()), ("text", pa.string())]),
+        right_schema=_REMOVALS_SCHEMA,
     )
-    return exchange(tagged, ["doc_id"], partial(_strip, k=k))

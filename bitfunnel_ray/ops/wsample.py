@@ -25,6 +25,8 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 
+from bitfunnel_ray.query.wand import topk_order
+
 _KNUTH = np.uint64(2654435761)
 _M = np.uint64(4294967296)
 
@@ -71,11 +73,7 @@ def weighted_sample(
         ids, w, k = ids[ok], w[ok], k[ok]
         if not len(ids):
             return empty
-        nn = min(n, len(ids))
-        part = np.argpartition(-k, nn - 1)[:nn]
-        thresh = k[part].min()
-        cand = np.flatnonzero(k >= thresh)  # ties at the cut compete below
-        sel = cand[np.lexsort((ids[cand], -k[cand]))[:nn]]
+        sel = topk_order(k, ids, n)
         return pa.table(
             {
                 id_col: pa.array(ids[sel], pa.int64()),
@@ -102,7 +100,7 @@ def weighted_sample(
     ids = all_t[id_col].to_numpy(zero_copy_only=False)
     w = all_t["weight"].to_numpy(zero_copy_only=False)
     k = all_t["key"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, -k))[:n]
+    order = topk_order(k, ids, n)
     return pa.table(
         {
             id_col: pa.array(ids[order], pa.int64()),

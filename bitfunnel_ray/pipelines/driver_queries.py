@@ -2048,8 +2048,8 @@ WHERE CAST(i AS DOUBLE)/(sa.n + sb.n - i) >= 0.8
 def q_asof_join(sf_dir):
     """For each purchase event, the latest click by the same user at or
     before the purchase — the as-of join the brief names as a custom
-    operator Ray Data lacks (ops/joins.py: tagged union + one hash
-    exchange on user_id + vectorized forward-fill kernel)."""
+    operator Ray Data lacks (ops/joins.py: one ``cogroup`` exchange on
+    user_id + vectorized forward-fill kernel)."""
     import pyarrow.compute as pc
 
     from bitfunnel_ray.ops.joins import asof_join
@@ -2496,14 +2496,14 @@ WHERE rk = 1 ORDER BY p_partkey
 
 
 def q_shipping_priority(sf_dir):
-    """TPC-H Q3-style shipping priority: two co-partitioned joins
-    (ops/joins.py ``inner_join_cp``: orders⋈customer on custkey, then
-    lineitem⋈ on orderkey), per-order
-    revenue as exact 1e-4-scaled int64, grouped post-exchange, and a
-    map-side top-10 so only ≤ 10 rows per block reach the driver."""
+    """TPC-H Q3-style shipping priority: orders⋈customer on custkey
+    (ops/joins.py ``inner_join_cp``), then ONE ``cogroup`` of lineitem
+    with it on orderkey whose kernel joins, sums per-order revenue as
+    exact 1e-4-scaled int64 and keeps a top-10, so only ≤ 10 rows per
+    block reach the driver."""
     import ray
 
-    from bitfunnel_ray.ops.exchange import exchange
+    from bitfunnel_ray.ops.exchange import cogroup
     from bitfunnel_ray.ops.joins import inner_join_cp
 
     cutoff = np.datetime64("1998-06-01T00:00:00", "us")
@@ -2565,16 +2565,12 @@ def q_shipping_priority(sf_dir):
         ),
         batch_format="pyarrow",
     )
-    j2 = inner_join_cp(
-        li, j1, key="l_orderkey",
-        left_schema=pa.schema([("l_orderkey", i64), ("rev_e4", i64)]),
-        right_schema=pa.schema([("l_orderkey", i64), ("o_orderdate_us", i64)]),
-    )
 
-    def topk_block(t: pa.Table) -> pa.Table:
-        # groups are complete here (exchange on l_orderkey) → per-block
-        # top-10 partial by (revenue desc, orderkey asc)
-        df = t.select(["l_orderkey", "o_orderdate_us", "rev_e4"]).to_pandas()
+    def topk_block(li_t: pa.Table, o_t: pa.Table) -> pa.Table:
+        # join, group and top-10 in one partition: groups are complete
+        # here (cogroup on l_orderkey) → per-block top-10 partial by
+        # (revenue desc, orderkey asc)
+        df = li_t.join(o_t, "l_orderkey", join_type="inner").to_pandas()
         g = df.groupby(["l_orderkey", "o_orderdate_us"], as_index=False).agg(
             revenue_e4=("rev_e4", "sum")
         )
@@ -2583,7 +2579,11 @@ def q_shipping_priority(sf_dir):
         ).head(10)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = exchange(j2, ["l_orderkey"], topk_block)
+    parts = cogroup(
+        li, j1, ["l_orderkey"], topk_block,
+        left_schema=pa.schema([("l_orderkey", i64), ("rev_e4", i64)]),
+        right_schema=pa.schema([("l_orderkey", i64), ("o_orderdate_us", i64)]),
+    )
     tables = [x for x in ray.get(parts.to_arrow_refs()) if len(x)]
     import pandas as _pd
 

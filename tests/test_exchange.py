@@ -1,7 +1,8 @@
 """The hash-exchange layer (bitfunnel_ray/ops/exchange.py): it is the
-only code that hash-partitions a Dataset, the Dataset it returns carries
-the tuned policy, every partition reaches the kernel whole, and the
-co-partitioned left-outer join built on it matches pandas."""
+only code that hash-partitions a Dataset and the only code that merges
+two Datasets into one transport, the Dataset it returns carries the
+tuned policy, every partition reaches the kernel whole, and ``cogroup``
+and the co-partitioned left-outer join built on it match pandas."""
 
 import ast
 import pathlib
@@ -80,6 +81,80 @@ def test_only_the_layer_hash_partitions():
         if p != LAYER and (v := _violations(p.read_text()))
     }
     assert found == {}
+
+
+# Two-input stages that still union their inputs by hand, and why.
+HAND_UNIONS = {
+    ("ops/dedup.py", "_payload_join"): "runs in the bench.py dedup_minhash "
+    "headline stage (600k docs, 32 CPUs); moving it needs that stage timed",
+    ("ops/graph.py", "_propagate"): "tags the edge stream once and reuses "
+    "it in every round; cogroup would re-tag it per call",
+}
+
+
+def _unions_into_exchange(source: str) -> set:
+    """Functions in ``source`` where a ``.union(...)`` result, directly or
+    through a name bound to it, reaches an ``exchange(...)`` call."""
+
+    def is_union(node) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "union"
+        )
+
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tainted: set = set()
+
+        def carries(expr) -> bool:
+            return any(
+                is_union(n) or (isinstance(n, ast.Name) and n.id in tainted)
+                for n in ast.walk(expr)
+            )
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and carries(node.value):
+                tainted |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "exchange" and any(
+                carries(a) for a in [*node.args, *(k.value for k in node.keywords)]
+            ):
+                found.add(fn.name)
+    return found
+
+
+def test_scan_flags_unions_into_exchange():
+    src = (
+        "def direct(a, b):\n"
+        "    return exchange(a.union(b), ['k'], f)\n"
+        "def bound(a, b):\n"
+        "    both = a.map_batches(t).union(b)\n"
+        "    mixed = both.map_batches(g)\n"
+        "    return exchange(mixed, ['k'], f)\n"
+        # legal: a union no exchange follows, an exchange of one input
+        "def legal(a, b):\n"
+        "    out = exchange(a, ['k'], f)\n"
+        "    return out.union(b)\n"
+    )
+    assert _unions_into_exchange(src) == {"direct", "bound"}
+
+
+def test_only_cogroup_merges_two_inputs():
+    """Outside the layer, no union of two Datasets feeds an exchange:
+    two-input stages go through ``cogroup``, which owns the side tag,
+    the transport schema and the empty-block guard."""
+    found = {
+        (str(p.relative_to(PKG)), fn)
+        for p in sorted(PKG.rglob("*.py"))
+        if p != LAYER
+        for fn in _unions_into_exchange(p.read_text())
+    }
+    assert found == set(HAND_UNIONS)
 
 
 def test_exchange_tunes_the_dataset_it_returns(ray_session):
@@ -198,6 +273,71 @@ def test_inner_and_left_share_one_join(ray_session):
     left = left_join_cp(lds, rds, key="k").to_pandas()
     matched = left[left["k"].isin(RIGHT["k"].drop_null().to_pylist())]
     assert _rows(inner) == _rows(matched)
+
+
+CL = pa.table(
+    {
+        "k": pa.array([1, 1, 2, 5, 3], pa.int64()),
+        "v": pa.array([10, 11, 20, 50, 30], pa.int64()),
+        "lx": pa.array(["a", "b", "c", "d", "e"], pa.string()),
+    }
+)
+CR = pa.table(
+    {
+        "k": pa.array([1, 2, 2, 4], pa.int64()),
+        "v": pa.array([100, 200, 201, 400], pa.int64()),
+        "ry": pa.array([0.5, 1.5, 2.5, 4.5], pa.float64()),
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "case", ["plain", "left_no_rows", "right_zero_column_block", "both_empty"]
+)
+def test_cogroup_matches_pandas(ray_session, case):
+    """Each key's rows of both sides meet in one kernel call, split back
+    into their own columns and schema.  ``v`` is on both sides (one
+    transport column), ``lx`` and ``ry`` on one each."""
+    from bitfunnel_ray.ops.exchange import cogroup
+
+    # the kernel's helpers are locals: Ray ships them by value
+    ls, rs = CL.schema, CR.schema
+    out_schema = pa.schema(
+        [("k", pa.int64()), ("n_l", pa.float64()), ("v_l", pa.float64()), ("lx", pa.string()),
+         ("n_r", pa.float64()), ("v_r", pa.float64()), ("ry", pa.float64())]
+    )
+
+    def per_key(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        """Per key: each side's row count, ``v`` sum and payload max."""
+        lg = left.groupby("k").agg(n_l=("v", "size"), v_l=("v", "sum"), lx=("lx", "max"))
+        rg = right.groupby("k").agg(n_r=("v", "size"), v_r=("v", "sum"), ry=("ry", "max"))
+        return lg.join(rg, how="outer").reset_index()
+
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        assert lt.schema.equals(ls) and rt.schema.equals(rs)
+        df = per_key(lt.to_pandas(), rt.to_pandas())
+        return pa.Table.from_pandas(df, schema=out_schema, preserve_index=False)
+
+    left, right = CL, CR
+    lds, rds = rd.from_arrow(CL).repartition(3), rd.from_arrow(CR).repartition(2)
+    if case in ("left_no_rows", "both_empty"):
+        left, lds = CL.slice(0, 0), rd.from_arrow(CL.slice(0, 0))
+    if case in ("right_zero_column_block", "both_empty"):
+        # a row filter that keeps nothing leaves zero-column empty blocks
+        right, rds = CR.slice(0, 0), rds.filter(lambda r: r["k"] > 99)
+    got = cogroup(lds, rds, ["k"], kernel, left_schema=ls, right_schema=rs).to_pandas()
+    want = per_key(left.to_pandas(), right.to_pandas())
+    assert _rows(got) == _rows(want[got.columns])
+    assert len(got) == len(set(left["k"].to_pylist()) | set(right["k"].to_pylist()))
+
+
+def test_cogroup_rejects_shared_column_of_two_types():
+    from bitfunnel_ray.ops.exchange import cogroup
+
+    rs = CR.schema.set(1, pa.field("v", pa.float64()))
+    with pytest.raises(TypeError, match="'v'"):
+        cogroup(rd.from_arrow(CL), rd.from_arrow(CR), ["k"], None,
+                left_schema=CL.schema, right_schema=rs)
 
 
 def test_no_dataset_launcher_under_build():

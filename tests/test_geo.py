@@ -58,3 +58,15 @@ def test_nearest_matches_full_sort(geo_ds):
     assert top["doc_id"].tolist() == ids[order].tolist()
     assert top["rank"].tolist() == list(range(1, 16))
     assert (np.diff(top["distance_m"].to_numpy()) >= 0).all()
+
+
+def test_nearest_ties_keep_the_smallest_ids(ray_session):
+    """Docs at one spot are equally near: at the k cut the smallest
+    doc_ids win, within a block and across blocks."""
+    ids = np.random.default_rng(9).permutation(60).astype(np.int64)
+    lat = np.where(ids < 50, 10.0, 40.0)  # 50 docs share one spot
+    lat[ids == 55] = 10.5
+    t = pa.table({"doc_id": ids, "lat": lat, "lon": np.zeros(60)})
+    top = geo_nearest(rd.from_arrow(t).repartition(3), (10.0, 0.0), k=5).to_pandas()
+    assert top["doc_id"].tolist() == [0, 1, 2, 3, 4]
+    assert (top["distance_m"] == 0.0).all()

@@ -29,11 +29,8 @@ def test_asof_block_matches_bruteforce(rows):
     ts = np.array([r[1] for r in rows], dtype=np.int64)
     side = np.array([r[2] for r in rows], dtype=np.int8)
     rid = np.arange(len(rows), dtype=np.int64)
-    t = pa.table(
-        {"key": pa.array(k), "ts_us": pa.array(ts), "rid": pa.array(rid),
-         "side": pa.array(side)}
-    )
-    got = _asof_block(t).to_pandas()
+    t = pa.table({"key": pa.array(k), "ts_us": pa.array(ts), "rid": pa.array(rid)})
+    got = _asof_block(t.filter(pa.array(side == 1)), t.filter(pa.array(side == 0))).to_pandas()
     got_map = {int(r.left_id): (int(r.right_id), int(r.right_ts_us)) for r in got.itertuples()}
 
     want = {}
@@ -112,10 +109,9 @@ def test_range_block_matches_bruteforce(ivs, pts):
             "ts_us": pa.array([r[1] for r in laid] + [p[1] for p in pts], pa.int64()),
             "rid": pa.array(list(range(n_iv)) + list(range(100, 100 + n_pt)), pa.int64()),
             "end_us": pa.array([r[2] for r in laid] + [0] * n_pt, pa.int64()),
-            "side": pa.array([0] * n_iv + [1] * n_pt, pa.int8()),
         }
     )
-    got = _range_block(t).to_pandas()
+    got = _range_block(t.slice(n_iv).drop_columns(["end_us"]), t.slice(0, n_iv)).to_pandas()
     got_set = set(zip(got.left_id, got.iv_id))
     want = set()
     for pid, (pk, pts_) in enumerate(pts):
@@ -136,11 +132,10 @@ def test_range_block_rejects_overlap():
             "ts_us": pa.array([0, 5], pa.int64()),
             "rid": pa.array([0, 1], pa.int64()),
             "end_us": pa.array([10, 15], pa.int64()),
-            "side": pa.array([0, 0], pa.int8()),
         }
     )
     with _pytest.raises(ValueError, match="overlapping"):
-        _range_block(t)
+        _range_block(t.slice(0, 0).drop_columns(["end_us"]), t)
 
 
 # --- inner_join_cp (co-partitioned inner equi-join) -----------------------

@@ -64,3 +64,25 @@ def test_validation(fixture):
         train_pq(emb, m=8, ks=512)
     with pytest.raises(ValueError, match="divisible"):
         train_pq(emb, m=7, ks=16)
+
+
+def test_adc_ties_at_the_cut_keep_the_smallest_ids(ray_session):
+    """Vectors with the same code score the same: at the top-k cut the
+    smallest vec_ids win, whatever their order in the block."""
+    import pyarrow as pa
+
+    books = np.array([[[1.0], [0.0]], [[1.0], [0.0]]])  # (m=2, ks=2, dsub=1)
+    ids = np.random.default_rng(3).permutation(40)
+    code = np.ones((40, 2), np.uint8)  # score 0
+    code[ids < 30] = (0, 1)  # 30 tied rows at score 1/sqrt(2)
+    code[np.isin(ids, [37, 12, 25])] = (0, 0)  # three best, score sqrt(2)
+    codes = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(ids, pa.int64()),
+                "code": pa.array(code.tolist(), pa.list_(pa.uint8())),
+            }
+        )
+    )
+    got = pq_topk(codes, books, np.array([[1.0, 1.0]]), k=6).to_pandas()
+    assert got["vec_id"].tolist() == [12, 25, 37, 0, 1, 2]

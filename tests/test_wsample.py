@@ -52,3 +52,14 @@ def test_validation(ray_session):
     # all-zero weights -> empty sample
     t0 = pa.table({"doc_id": [1, 2], "w": [0.0, -1.0]})
     assert len(weighted_sample(rd.from_arrow(t0), 5, weight_col="w")) == 0
+
+
+def test_tied_keys_keep_the_smallest_ids(ray_session):
+    """An infinite weight gives key -0.0 to every such row: the sample
+    holds the smallest ids among them, across blocks."""
+    ids = np.random.default_rng(5).permutation(200).astype(np.int64)
+    w = np.where(ids % 3 == 0, np.inf, 1.0)
+    t = pa.table({"doc_id": ids, "w": w})
+    got = weighted_sample(rd.from_arrow(t).repartition(4), 10, weight_col="w").to_pandas()
+    assert got["doc_id"].tolist() == list(range(0, 30, 3))
+    assert (got["key"] == 0.0).all()
