@@ -181,13 +181,9 @@ def run_bench() -> dict:
                 "n_docs": manifest["n_docs"],
             }
         else:
-            res = build_index_waves(
-                parquet_files, idx_dir, cfg, n_waves=n_waves,
-                # 128 fixed input blocks across the run (the corpus's
-                # row-group granularity): bounds map parallelism
-                # identically at every cluster size
-                override_num_blocks_per_wave=max(8, 128 // n_waves),
-            )
+            # the spill batch bounds each piece, so the work shape is
+            # the same at every cluster size
+            res = build_index_waves(parquet_files, idx_dir, cfg, n_waves=n_waves)
         seg_dirs = res["segment_dirs"]
         if want("index_build"):
             timings["index_build"] = time.perf_counter() - t0

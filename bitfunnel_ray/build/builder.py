@@ -4,9 +4,14 @@ src/Index/src/Ingestor.cpp:210-269, src/Index/src/TermTableBuilder.cpp:68-434).
 
 Where the reference routes each document through shared mutable state
 (shard slice locks, interlocked SetBit, a global-mutex docfreq hashmap —
-SURVEY.md §4 contention points), this build is two streaming Dataset
-passes over the corpus and one wave of plain Ray tasks over the buckets,
-with no shared mutable state:
+SURVEY.md §4 contention points), this build is two passes over the
+corpus and one wave of plain Ray tasks over the buckets, with no shared
+mutable state.  Over a plain ``read_parquet`` corpus the driver plans
+pieces from the parquet footers (``_file_plan``: whole files, or
+row-group ranges of a larger file — the reference's one ingest task per
+chunk file), and both corpus passes are ``ops.exchange.fan_out`` waves
+over them; any other Dataset is mapped by Ray Data through the same
+task bodies (``_corpus_map``):
 
 1. head-term pass  — optional df scan to find terms with df >
                      ``head_df_threshold``; their postings are salted by
@@ -14,7 +19,7 @@ with no shared mutable state:
                      (the skew analog of the reference giving hot terms
                      private rows, TermTableBuilder.cpp:268-287).  Skipped
                      when n_docs <= threshold (no term can qualify).
-2. fused spill pass — ONE streaming corpus read: tokenize → posting rows
+2. fused spill pass — ONE corpus read: tokenize → posting rows
                      (fixed-width numerics only; term text never enters
                      the spill) → per-bucket Arrow-IPC spill shards, plus
                      the ``docmeta/`` sidecar shards and the
@@ -37,21 +42,31 @@ for the missing buckets.
 
 from __future__ import annotations
 
+import dataclasses
+import glob
+import json
 import os
+import shutil
 import time
 import uuid
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.ipc as ipc
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from bitfunnel_ray.build import segment
 from bitfunnel_ray.build.encode import check_bands, encode_bucket
-from bitfunnel_ray.build.stats import PartialTermStats
+from bitfunnel_ray.build.stats import PartialTermStats, partial_term_stats
 from bitfunnel_ray.config import EngineConfig
+from bitfunnel_ray.functions.hashing import fact_term_hash
+from bitfunnel_ray.functions.mem import tune_allocator
 from bitfunnel_ray.ops.exchange import fan_out
+from bitfunnel_ray.stages.filters import sample_mask
 from bitfunnel_ray.stages.tokenize import tokenize_batch
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -120,8 +135,6 @@ class TokenizePostings:
         """Returns (postings table, per-document doclen of the body stream
         — the whitespace token count docmeta records, unigram df/cf partial
         table or None)."""
-        from bitfunnel_ray.functions.mem import tune_allocator
-
         tune_allocator()
         cfg = self.cfg
         parts = []
@@ -137,8 +150,6 @@ class TokenizePostings:
             if is_body:
                 body_doclen = np.asarray(part[5], dtype=np.int64)
             if want_stats:
-                from bitfunnel_ray.build.stats import partial_term_stats
-
                 stats_tbl = partial_term_stats(part[6], emit_text=True, max_gram=1)
         # facts (IFactSet analog): one synthetic posting per (fact, doc)
         # where the boolean column holds — vectorized mask, tf=1, doclen =
@@ -146,11 +157,7 @@ class TokenizePostings:
         for (fname, fcol) in cfg.facts:
             if fcol not in batch.column_names:
                 continue
-            import pyarrow.compute as _pc
-
-            from bitfunnel_ray.functions.hashing import fact_term_hash
-
-            mask = _pc.fill_null(batch[fcol].cast(pa.bool_()), False).to_numpy(
+            mask = pc.fill_null(batch[fcol].cast(pa.bool_()), False).to_numpy(
                 zero_copy_only=False
             )
             sel = np.flatnonzero(mask)
@@ -223,8 +230,6 @@ def _spill_bucket_shards(
     deterministically from the batch (first doc_id) so a Ray task RETRY
     overwrites its own earlier shard instead of appending a duplicate
     (exactly-once spill under task retries)."""
-    import pyarrow.ipc as _ipc
-
     buckets = table["bucket"].to_numpy(zero_copy_only=False)
     order = np.argsort(buckets, kind="stable")
     sorted_b = buckets[order]
@@ -234,13 +239,13 @@ def _spill_bucket_shards(
     payload = table.drop_columns(["bucket"])
     out = {}
     shard = shard or uuid.uuid4().hex
-    opts = _ipc.IpcWriteOptions(compression=compression) if compression else None
+    opts = ipc.IpcWriteOptions(compression=compression) if compression else None
     for i in range(len(starts)):
         b = int(sorted_b[starts[i]])
         sub = payload.take(idx.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i])))
         d = os.path.join(spill_dir, f"bucket={b:05d}")
         os.makedirs(d, exist_ok=True)
-        with _ipc.new_file(
+        with ipc.new_file(
             os.path.join(d, f"{kind}-{shard}.arrow"), sub.schema, options=opts
         ) as w:
             w.write_table(sub)
@@ -254,14 +259,10 @@ def _read_spilled(spill_dir: str, bucket: int, kind: str, expected: int) -> "pa.
     the map-side acks (e.g. spill_root is node-local on a multi-node
     cluster and this task landed on another node), the build FAILS LOUDLY
     instead of writing a silently-incomplete index."""
-    import glob as _glob
-
-    import pyarrow.ipc as _ipc
-
     if not expected:
         return None
     files = sorted(
-        _glob.glob(os.path.join(spill_dir, f"bucket={bucket:05d}", f"{kind}-*.arrow"))
+        glob.glob(os.path.join(spill_dir, f"bucket={bucket:05d}", f"{kind}-*.arrow"))
     )
     if not files:
         raise RuntimeError(
@@ -271,7 +272,7 @@ def _read_spilled(spill_dir: str, bucket: int, kind: str, expected: int) -> "pa.
     parts = []
     for f in files:
         with pa.memory_map(f) as mm:  # zero-copy read off RAM-backed spill
-            parts.append(_ipc.open_file(mm).read_all())
+            parts.append(ipc.open_file(mm).read_all())
     tbl = pa.concat_tables(parts).combine_chunks()
     if len(tbl) != expected:
         raise RuntimeError(
@@ -330,9 +331,6 @@ class TokenizeSpill:
         return vt
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.parquet as _pq
-
         postings, body_doclen, stats_tbl = self.tp.build_postings(batch)
         # Batch identity for every file this task writes: the first doc_id
         # is unique per batch (doc_ids are unique and batch membership is
@@ -358,7 +356,7 @@ class TokenizeSpill:
             )
         meta = pa.table(meta_cols)
         os.makedirs(self.meta_dir, exist_ok=True)
-        _pq.write_table(meta, os.path.join(self.meta_dir, f"part-{batch_tag}.parquet"))
+        pq.write_table(meta, os.path.join(self.meta_dir, f"part-{batch_tag}.parquet"))
         if self.store_dir and len(batch):
             # stored-fields sidecar (build/docstore.py): doc_id-sorted so
             # parquet row-group stats give tight ranges for point lookups;
@@ -369,7 +367,7 @@ class TokenizeSpill:
                     cols[f] = batch[f]
             store = pa.table(cols).sort_by("doc_id")
             os.makedirs(self.store_dir, exist_ok=True)
-            _pq.write_table(
+            pq.write_table(
                 store,
                 os.path.join(self.store_dir, f"part-{batch_tag}.parquet"),
                 # small row groups = the point-lookup pruning unit; 2048
@@ -402,8 +400,8 @@ class TokenizeSpill:
         )
 
 
-# Worker-process memo for the task-based spill map: map_batches with a
-# FUNCTION runs in stateless tasks (no actor-pool startup per Dataset — a
+# Worker-process memo for the spill task body: a piece task or a
+# map_batches FUNCTION runs stateless (no actor-pool startup per build — a
 # fresh 32-actor pool costs ~2s, paid per WAVE in build_index_waves), and
 # the memo re-creates actor-style amortization: each worker process builds
 # the (sorted head set, compiled state) once per spill_dir and reuses it
@@ -463,8 +461,6 @@ def encode_spilled_bucket(
     other buckets).  Row counts are cross-checked against the map acks
     (``_read_spilled``); on multi-node clusters spill_root must be a
     shared filesystem."""
-    from bitfunnel_ray.functions.mem import tune_allocator
-
     tune_allocator()
     rows = []
     for b, exp, vexp in buckets:
@@ -523,7 +519,8 @@ def effective_num_buckets(cfg: EngineConfig, corpus: "ray.data.Dataset") -> int:
 
 
 def _spill_batch_docs(num_buckets: int) -> int:
-    """Docs per tokenize/spill map task.  It pins the spill-shard count
+    """Docs per tokenize/spill task: the most rows a corpus piece (or a
+    Dataset batch) holds.  It pins the spill-shard count
     (and the per-shard size) independent of input block layout and CPU
     count — identical work shape at every parallelism.  It SCALES with
     the bucket count so the per-(task, bucket) shard stays ~8k postings
@@ -534,6 +531,97 @@ def _spill_batch_docs(num_buckets: int) -> int:
     91k docs/s).  Deterministic in the config, so resume and both
     scaling-run CPU levels see identical work."""
     return min(65536, max(8192, 4096 * (num_buckets // 64)))
+
+
+def _file_plan(paths: "list[str]", batch_rows: int, fs=None) -> tuple:
+    """``(filesystem, pieces)`` over parquet ``paths``, planned from their
+    footers in path order.  A piece is a tuple of ``(path, lo, hi)`` row
+    ranges holding at most ``batch_rows`` rows: consecutive whole files,
+    or one row-group range of a larger file (a row group longer than the
+    batch is cut too).  Zero-row files are dropped."""
+    if fs is None:
+        from ray.data.datasource.path_util import _resolve_paths_and_filesystem
+
+        paths, fs = _resolve_paths_and_filesystem(paths)
+    pieces, room = [], 0  # room: rows the last piece of whole files can take
+    for path in sorted(paths):
+        md = pq.read_metadata(path, filesystem=fs)
+        n = md.num_rows
+        if n > batch_rows:  # ranges closed at a row-group end, or cut
+            start = lo = room = 0
+            for i in range(md.num_row_groups):
+                end = start + md.row_group(i).num_rows
+                while end - lo > batch_rows:
+                    hi = start if start > lo else lo + batch_rows
+                    pieces.append(((path, lo, hi),))
+                    lo = hi
+                start = end
+            pieces.append(((path, lo, n),))
+        elif 0 < n <= room:
+            pieces[-1] += ((path, 0, n),)
+            room -= n
+        elif n:
+            pieces.append(((path, 0, n),))
+            room = batch_rows - n
+    return fs, pieces
+
+
+def _parquet_plan(corpus: "ray.data.Dataset", batch_rows: int) -> "tuple | None":
+    """The ``_file_plan`` of a plain ``read_parquet`` Dataset (its plan is
+    one Read of parquet files: no row filter, block udf, read schema, path
+    column or partition directory), else None."""
+    from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data.datasource.partitioning import PathPartitionParser
+
+    op = getattr(getattr(corpus, "_logical_plan", None), "dag", None)
+    src = getattr(op, "_datasource", None)
+    if not isinstance(src, ParquetDatasource) or op.input_dependencies:
+        return None
+    if (src._block_udf or src._to_batches_kwargs.get("filter") is not None
+            or src._read_schema is not None or src._include_paths):
+        return None
+    if src._partitioning and any(map(PathPartitionParser(src._partitioning), src._pq_paths)):
+        return None
+    return _file_plan(src._pq_paths, batch_rows, fs=src._filesystem)
+
+
+def _read_piece(piece: tuple, columns: "list[str]", fs) -> pa.Table:
+    parts = []
+    for path, lo, hi in piece:  # the row groups holding [lo, hi), cut to it
+        with pq.ParquetFile(path, filesystem=fs) as f:
+            starts = np.cumsum([0] + [f.metadata.row_group(i).num_rows for i in range(f.num_row_groups)])
+            g0, g1 = int(np.searchsorted(starts, lo, "right")) - 1, int(np.searchsorted(starts, hi))
+            t = f.read_row_groups(range(g0, g1), columns=columns)
+        parts.append(t.slice(lo - int(starts[g0]), hi - lo))
+    return pa.concat_tables(parts, promote_options="default")
+
+
+def _map_piece(piece: tuple, *, fn, columns: "list[str]", fs) -> pa.Table:
+    return fn(_read_piece(piece, columns, fs))
+
+
+def _corpus_map(fn, corpus, plan, columns: "list[str]", batch_size) -> list:
+    """Object refs to ``fn``'s tables over the corpus rows (``columns``
+    only): one plain task per piece of ``plan`` (``_parquet_plan``), or,
+    for any other Dataset (``plan`` None), a Ray Data map over batches of
+    ``batch_size`` rows.  ``fn`` is the same task body either way."""
+    if plan is not None:
+        fs, pieces = plan
+        return fan_out(partial(_map_piece, fn=fn, columns=columns, fs=fs), pieces, as_refs=True)
+    return (
+        corpus.select_columns(columns)
+        .map_batches(fn, batch_size=batch_size, batch_format="pyarrow")
+        .materialize()
+        .to_arrow_refs()
+    )
+
+
+def _head_partial(t: pa.Table, *, max_gram: int, fraction: float) -> pa.Table:
+    """The head scan's task body: the df partial of a batch's sampled rows
+    (``sample_mask``; ``fraction`` 1 keeps every row)."""
+    if fraction < 1.0 and len(t):
+        t = t.filter(sample_mask(t, fraction))
+    return PartialTermStats(max_gram, emit_text=False)(t)
 
 
 def scan_head_terms(
@@ -549,43 +637,36 @@ def scan_head_terms(
     statistically solid (≥ 50 expected postings): with ``files`` given and
     plentiful, a FILE-stride sample (only 1/rate of the corpus leaves
     storage — the pruned-read form); else a hash-sample of rows (still a
-    full read, 5% of the tokenize).  The df partials of the sample stay
-    in the object store, one per block, and ``terms_over`` finds the
-    terms over the threshold in two rounds of map tasks: no hash
-    exchange, and the same set whatever the block count."""
+    full read, 5% of the tokenize).  Over parquet files (the stride
+    sample, a plain ``read_parquet`` corpus) the scan is one plain task
+    per piece (``_corpus_map``), else a Ray Data map.  The df partials of
+    the sample stay in the object store, one per piece or block, and
+    ``terms_over`` finds the terms over the threshold in two rounds of
+    map tasks: no hash exchange, and the same set whatever the split."""
     from bitfunnel_ray.ops.suggest import terms_over
 
     rate = float(cfg.extra.get("head_sample_rate", 0.05))
     stride = max(1, int(round(1.0 / rate))) if rate > 0 else 1
+    batch = _spill_batch_docs(cfg.num_buckets)
+    frac, thr = 1.0, cfg.head_df_threshold
     if (
         files is not None
         and len(files) >= 2 * stride
         and cfg.head_df_threshold * rate >= 50
     ):
         sub = sorted(files)[::stride]
-        scan = ray.data.read_parquet(sub)
+        plan = _file_plan(sub, batch)
         thr = int(cfg.head_df_threshold * (len(sub) / len(files)))
     else:
         if corpus is None:
             corpus = ray.data.read_parquet(files)
         if not skip_count and corpus.count() <= cfg.head_df_threshold:
             return np.empty(0, dtype=np.uint64)
-        scan, thr = corpus, cfg.head_df_threshold
+        plan = _parquet_plan(corpus, batch)
         if 0.0 < rate < 1.0 and cfg.head_df_threshold * rate >= 50:
-            from bitfunnel_ray.stages.filters import sample_filter
-
-            scan = sample_filter(corpus, rate)
-            thr = int(cfg.head_df_threshold * rate)
-    parts = (
-        scan.select_columns(["text"])
-        .map_batches(
-            PartialTermStats(cfg.max_gram, emit_text=False),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .materialize()
-        .to_arrow_refs()
-    )
+            frac, thr = rate, int(cfg.head_df_threshold * rate)
+    body = partial(_head_partial, max_gram=cfg.max_gram, fraction=frac)
+    parts = _corpus_map(body, corpus, plan, ["doc_id", "text"], None)
     heads = terms_over(parts, ["term_hash", "gram_size"], "df_part", thr)
     if not len(heads):
         return np.empty(0, dtype=np.uint64)
@@ -618,9 +699,7 @@ def build_index(
     check_bands(cfg.treatment_bands)
     eff_buckets = effective_num_buckets(cfg, corpus)
     if eff_buckets != cfg.num_buckets:
-        import dataclasses as _dc
-
-        cfg = _dc.replace(cfg, num_buckets=eff_buckets)
+        cfg = dataclasses.replace(cfg, num_buckets=eff_buckets)
     t0 = time.time()
     stage_s: dict[str, float] = {}
 
@@ -658,15 +737,9 @@ def build_index(
     avgdl = 1.0
     t1 = t0
     if not spill:
-        # a DISTRIBUTED aggregate over the doclen column only — the driver
-        # receives two scalars, never the table
-        from ray.data.aggregate import Count as _Count, Sum as _Sum
-
-        totals = ray.data.read_parquet(
-            meta_dir, columns=["doclen"], file_extensions=["parquet"]
-        ).aggregate(_Count(alias_name="n"), _Sum("doclen", alias_name="s"))
-        n_docs = int(totals["n"] or 0)
-        sum_dl = int(totals["s"] or 0)
+        # the doclen column of docmeta, read in the driver: 8 bytes a doc
+        doclen = pq.read_table(meta_dir, columns=["doclen"])["doclen"]
+        n_docs, sum_dl = len(doclen), int(pc.sum(doclen).as_py() or 0)
         avgdl = (sum_dl / n_docs) if n_docs else 1.0
         t1 = _mark("totals", t1)
 
@@ -689,8 +762,6 @@ def build_index(
         # (a popular predicate holds for most documents), so their chunks
         # are ALWAYS salted — the guaranteed-whale analog of the
         # reference's private rows for system facts (FactSetBase.cpp)
-        from bitfunnel_ray.functions.hashing import fact_term_hash
-
         fact_arr = np.array(
             [fact_term_hash(n) for (n, _c) in cfg.facts], dtype=np.uint64
         )
@@ -710,26 +781,16 @@ def build_index(
     t1 = _mark("head_scan", t1)
 
     # --- fused spill + per-bucket encode --------------------------------
-    # One streaming corpus read does tokenize → per-bucket spill shards
-    # (postings, and vocab partials by stripe) + docmeta shards + totals
-    # partials; then one encode task per bucket — no exchange operator,
-    # no aggregator actors.
+    # One corpus read (a task per piece, or one Dataset map) does
+    # tokenize → per-bucket spill shards (postings, and vocab partials by
+    # stripe) + docmeta shards + totals partials; then one encode task per
+    # group of buckets — no exchange operator, no aggregator actors.
     # MULTI-NODE: spill_root must be a shared filesystem (encode tasks may
     # land on any node); the ack row-count cross-check in
     # encode_spilled_bucket aborts the build if shards are missing.
     bucket_stats: list[dict] = []
     deferred_encode = None
     if spill:
-        import shutil as _shutil
-        from functools import partial
-
-        stream_cols = [c for (_n, c, _s) in cfg.streams]
-        stream_cols += [c for (_n, c) in cfg.facts if c not in stream_cols]
-        try:
-            _names = set(corpus.schema().names)
-            stream_cols = [c for c in stream_cols if c in _names]
-        except Exception:
-            pass
         # spill to RAM-backed storage when available (the node-local
         # shuffle-SSD analog); fall back to the output filesystem
         spill_root = cfg.extra.get(
@@ -738,11 +799,14 @@ def build_index(
         spill_dir = os.path.join(spill_root, f".bfr-spill-{uuid.uuid4().hex[:8]}")
         os.makedirs(spill_dir, exist_ok=True)
         meta_tmp = meta_dir + ".tmp"
-        _shutil.rmtree(meta_tmp, ignore_errors=True)
-        _shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
+        shutil.rmtree(meta_tmp, ignore_errors=True)
+        shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
         try:
             ok = False
             schema_names = corpus.schema().names
+            stream_cols = [c for (_n, c, _s) in cfg.streams]
+            stream_cols += [c for (_n, c) in cfg.facts if c not in stream_cols]
+            stream_cols = [c for c in stream_cols if c in schema_names]
             sel = (
                 ["doc_id"]
                 + [c for c in ("url", "warc_ts") if c in schema_names]
@@ -763,23 +827,16 @@ def build_index(
             # ObjectRef (head_ref), never inline in cfg.extra
             cfg_task = cfg
             if "head_hashes" in cfg.extra:
-                import dataclasses as _dc
-
-                cfg_task = _dc.replace(
+                cfg_task = dataclasses.replace(
                     cfg,
                     extra={k: v for k, v in cfg.extra.items() if k != "head_hashes"},
                 )
-            # task-based map (plain function + worker memo), NOT an
-            # actor pool: actor startup is ~2s per Dataset execution
-            # and build_index_waves runs one spill Dataset per wave
-            acks = corpus.select_columns(sel).map_batches(
-                partial(
-                    _spill_map,
-                    ctor=(cfg_task, head_ref, done, spill_dir, meta_tmp),
-                ),
-                batch_size=spill_batch,
-                batch_format="pyarrow",
-            ).to_pandas()
+            # plain tasks (function + worker memo), NOT an actor pool:
+            # actor startup is ~2s, and build_index_waves spills per wave
+            body = partial(_spill_map, ctor=(cfg_task, head_ref, done, spill_dir, meta_tmp))
+            plan = _parquet_plan(corpus, spill_batch)
+            tables = [t for t in ray.get(_corpus_map(body, corpus, plan, sel, spill_batch)) if t.num_columns]
+            acks = pa.concat_tables(tables or [ACK_SCHEMA.empty_table()]).to_pandas()
             t1 = _mark("tokenize_spill", t1)
             summary = acks[acks.bucket < 0]
             n_docs = int(summary.n_docs.sum())
@@ -800,7 +857,7 @@ def build_index(
                     f"docmeta rows ({meta_rows}) != ack n_docs ({n_docs}) — "
                     "duplicate or lost docmeta shard; refusing to publish"
                 )
-            _shutil.rmtree(meta_dir, ignore_errors=True)
+            shutil.rmtree(meta_dir, ignore_errors=True)
             os.replace(meta_tmp, meta_dir)
             store_tmp = meta_tmp + "-docstore"
             if cfg.store_fields and os.path.isdir(store_tmp):
@@ -816,7 +873,7 @@ def build_index(
                         "duplicate or lost docstore shard; refusing to publish"
                     )
                 store_dir = os.path.join(out_dir, "docstore")
-                _shutil.rmtree(store_dir, ignore_errors=True)
+                shutil.rmtree(store_dir, ignore_errors=True)
                 os.replace(store_tmp, store_dir)
             with open(meta_done, "w") as f:
                 f.write("ok")
@@ -864,7 +921,7 @@ def build_index(
                     _mark("encode", te)
                     return [r for rows in out for r in rows]
                 finally:
-                    _shutil.rmtree(spill_dir, ignore_errors=True)
+                    shutil.rmtree(spill_dir, ignore_errors=True)
 
             ok = True
             if _defer_encode:
@@ -873,9 +930,9 @@ def build_index(
                 bucket_stats = _encode_phase()
         finally:
             if not ok:
-                _shutil.rmtree(spill_dir, ignore_errors=True)
-            _shutil.rmtree(meta_tmp, ignore_errors=True)
-            _shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
+                shutil.rmtree(spill_dir, ignore_errors=True)
+            shutil.rmtree(meta_tmp, ignore_errors=True)
+            shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
 
     def _finalize(bucket_stats: "list[dict]") -> dict:
         manifest = {
@@ -914,7 +971,6 @@ def build_index_waves(
     out_root: str,
     cfg: EngineConfig | None = None,
     n_waves: int = 4,
-    override_num_blocks_per_wave: int | None = None,
 ) -> dict:
     """Streaming ingestion: split the corpus files into ``n_waves``
     contiguous waves and build one ADDITIVE SEGMENT per wave, overlapping
@@ -937,8 +993,6 @@ def build_index_waves(
     Returns ``{"segment_dirs": [...], "waves": [manifests], "n_docs": n,
     "sum_doclen": s, "avgdl": a}``; query engines take ``segment_dirs``.
     """
-    import dataclasses as _dc
-    import json as _json
     from concurrent.futures import ThreadPoolExecutor
 
     import ray.data as rd
@@ -954,7 +1008,7 @@ def build_index_waves(
 
     if cfg.extra.get("head_hashes") is None:
         head_arr = scan_head_terms(None, cfg, files=files)
-        cfg = _dc.replace(cfg, extra={**cfg.extra, "head_hashes": head_arr})
+        cfg = dataclasses.replace(cfg, extra={**cfg.extra, "head_hashes": head_arr})
 
     seg_dirs = [os.path.join(out_root, f"seg-{i:04d}") for i in range(len(groups))]
     manifests: dict[int, dict] = {}
@@ -964,15 +1018,7 @@ def build_index_waves(
         # would contend for the same memory bandwidth); the main thread
         # keeps streaming the next wave's spill meanwhile
         for i, g in enumerate(groups):
-            # override_num_blocks: input blocks bound map-task parallelism
-            # within a wave (few big files would leave CPUs idle); a FIXED
-            # count keeps the work shape identical across cluster sizes
-            wave = (
-                rd.read_parquet(g, override_num_blocks=override_num_blocks_per_wave)
-                if override_num_blocks_per_wave
-                else rd.read_parquet(g)
-            )
-            part = build_index(wave, seg_dirs[i], cfg, _defer_encode=True)
+            part = build_index(rd.read_parquet(g), seg_dirs[i], cfg, _defer_encode=True)
             if part.get("deferred"):
                 pending.append((i, pool.submit(part["finish"])))
             else:
@@ -992,5 +1038,5 @@ def build_index_waves(
         "waves": mans,
     }
     with open(os.path.join(out_root, "waves.json"), "w") as f:
-        _json.dump(root, f)
+        json.dump(root, f)
     return root

@@ -32,8 +32,11 @@ plans a whole pipeline under the context of the dataset that executes
 it, and ``a.union(b)`` takes ``a``'s: an exchanged dataset goes on the
 left of a union that no later exchange follows.
 
-A stage over a driver-known list (bucket ids, files) needs no Dataset: a
-Ray Data launch costs ~0.07-0.14 s, a ``fan_out`` wave milliseconds.
+A stage over a driver-known list needs no Dataset: a Ray Data launch
+costs ~0.07-0.14 s, a ``fan_out`` wave milliseconds.  The build's encode
+and merge waves run over bucket ids, and its two corpus passes over the
+pieces of a plain parquet read (``build/builder.py``), the partition-first
+ingest of the reference's one task per chunk file.
 """
 
 from __future__ import annotations
@@ -147,11 +150,16 @@ def _apply(fn, item):
     return fn(item)
 
 
-def fan_out(fn, items, *, num_cpus: float = 1, max_in_flight: int | None = None) -> list:
+def fan_out(
+    fn, items, *, num_cpus: float = 1, max_in_flight: int | None = None,
+    as_refs: bool = False,
+) -> list:
     """``[fn(item) for item in items]`` as one plain Ray task per item,
     in item order.  ``fn`` (and what it captures) ships once per wave; an
     ``ObjectRef`` item arrives resolved.  At most ``max_in_flight`` tasks
-    run at once; a task's exception is raised here."""
+    run at once; a task's exception is raised here.  ``as_refs`` returns
+    the results' object refs instead: the results stay in the object
+    store, and an exception is raised where its ref is read."""
     fn_ref = ray.put(fn)
     # SPREAD, as Ray Data schedules map tasks: writers land on every node
     task = _apply.options(num_cpus=num_cpus, scheduling_strategy="SPREAD")
@@ -162,4 +170,4 @@ def fan_out(fn, items, *, num_cpus: float = 1, max_in_flight: int | None = None)
             ray.get(done)  # fail fast: stop launching after an error
         refs.append(task.remote(fn_ref, item))
         running.append(refs[-1])
-    return ray.get(refs)
+    return refs if as_refs else ray.get(refs)

@@ -33,17 +33,20 @@ def lang_filter(corpus: "ray.data.Dataset", lang: str) -> "ray.data.Dataset":
     )
 
 
-def sample_filter(corpus: "ray.data.Dataset", fraction: float) -> "ray.data.Dataset":
-    """Deterministic sample: keep doc iff (doc_id * 2654435761) mod 2^32
-    < fraction * 2^32 (parallel-safe RandomDocumentFilter replacement)."""
+def sample_mask(t: pa.Table, fraction: float) -> pa.Array:
+    """``sample_filter``'s keep mask over a batch's rows: doc iff
+    (doc_id * 2654435761) mod 2^32 < fraction * 2^32."""
+    ids = t["doc_id"].to_numpy().astype(np.uint64)
     threshold = np.uint64(int(fraction * (1 << 32)))
+    return pa.array(((ids * np.uint64(KNUTH)) & np.uint64(0xFFFFFFFF)) < threshold)
 
-    def f(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy().astype(np.uint64)
-        keep = ((ids * np.uint64(KNUTH)) & np.uint64(0xFFFFFFFF)) < threshold
-        return t.filter(pa.array(keep))
 
-    return corpus.map_batches(f, batch_format="pyarrow")
+def sample_filter(corpus: "ray.data.Dataset", fraction: float) -> "ray.data.Dataset":
+    """Deterministic sample (``sample_mask``; parallel-safe
+    RandomDocumentFilter replacement)."""
+    return corpus.map_batches(
+        lambda t: t.filter(sample_mask(t, fraction)), batch_format="pyarrow"
+    )
 
 
 def posting_count_filter(

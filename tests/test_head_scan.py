@@ -123,3 +123,29 @@ def test_salted_build_runs_no_exchange(ray_session, sf_tiny, tmp_path, monkeypat
     m = build_index(corpus_from_documents(sf_tiny), out, cfg)
     assert m["complete"]
     assert pq.read_table(os.path.join(out, "heads.parquet")).num_rows > 0
+
+
+def test_parquet_build_runs_no_dataset(zipf_dir, tmp_path, monkeypatch):
+    """A plain ``read_parquet`` corpus is built without a Ray Data
+    execution: with the streaming executor made to raise, a salted
+    vocab-sidecar build completes (head scan, spill, encode), and so does
+    its resume, which reads the corpus totals back from docmeta and must
+    return the fresh build's."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    def refuse(*a, **kw):
+        raise AssertionError("Ray Data execution on the parquet build path")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", refuse)
+    files = sorted(os.path.join(zipf_dir, f) for f in os.listdir(zipf_dir))
+    cfg = EngineConfig(max_gram=1, num_buckets=4, head_df_threshold=20,
+                       extra={"vocab_sidecar": True})
+    out = str(tmp_path / "seg")
+    fresh = build_index(rd.read_parquet(files), out, cfg)
+    assert fresh["complete"] and fresh["n_docs"] == 2000
+    assert pq.read_table(os.path.join(out, "heads.parquet")).num_rows > 0
+    os.remove(os.path.join(out, "manifest.json"))  # every bucket and docmeta done
+    resumed = build_index(rd.read_parquet(files), out, cfg)
+    assert "totals" in resumed["stage_seconds"]
+    for k in ("n_docs", "sum_doclen", "avgdl", "n_head_terms", "buckets_completed"):
+        assert resumed[k] == fresh[k], k
