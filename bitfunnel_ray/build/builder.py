@@ -803,7 +803,8 @@ def build_index(
         shutil.rmtree(meta_tmp + "-docstore", ignore_errors=True)
         try:
             ok = False
-            schema_names = corpus.schema().names
+            schema = corpus.schema()  # None when the Dataset has no blocks
+            schema_names = schema.names if schema is not None else []
             stream_cols = [c for (_n, c, _s) in cfg.streams]
             stream_cols += [c for (_n, c) in cfg.facts if c not in stream_cols]
             stream_cols = [c for c in stream_cols if c in schema_names]
@@ -840,6 +841,8 @@ def build_index(
             t1 = _mark("tokenize_spill", t1)
             summary = acks[acks.bucket < 0]
             n_docs = int(summary.n_docs.sum())
+            if not n_docs:
+                raise ValueError(f"the corpus has no rows: no index segment to build in {out_dir}")
             sum_dl = int(summary.sum_doclen.sum())
             avgdl = (sum_dl / n_docs) if n_docs else 1.0
             # publish the docmeta sidecar before encode so a crash

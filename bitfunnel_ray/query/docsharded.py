@@ -34,6 +34,9 @@ complement).
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -54,12 +57,13 @@ class DocShardActor:
         from bitfunnel_ray.query.engine import SearchEngine
 
         self.engine = SearchEngine(seg_dirs, load_urls=False)
+        # the actor serves up to max_concurrency requests at once, and each
+        # global-statistics search swaps the engine's shared n_docs /
+        # avgdl / df_override: one swap at a time
+        self._stats_lock = threading.Lock()
 
     def corpus_stats(self) -> "tuple[int, int]":
         return self.engine.n_docs, int(round(self.engine.avgdl * self.engine.n_docs))
-
-    def scoring_pairs(self, query: str) -> "list[tuple[int, int]]":
-        return self.scoring_pairs_many([query])[0][0]
 
     def scoring_pairs_many(self, queries: "list[str]"):
         """Per query: (scoring (term_hash, gram) pairs, has a fuzzy term).
@@ -93,8 +97,8 @@ class DocShardActor:
         Safe because stored max_tfn was computed with the segment's own
         avgdl and tfn is increasing in avgdl: serving avgdl below the
         build avgdl only shrinks true tfn, and above it the bound is
-        inflated by the same monotone ratio the term-sharded server uses
-        (query/sharded.py postings_many)."""
+        inflated by the same monotone ratio every block-max reader uses
+        (``_Segment.block_meta_rows``)."""
         eng = self.engine
         node = eng._parse_rewritten(query)
         boosts = eng.scoring_boosts(node)
@@ -108,10 +112,9 @@ class DocShardActor:
                 if not rows:
                     continue
                 local_df = 1  # presence only; global df comes from df_map
-                infl = max(1.0, avgdl / s.avgdl) if s.avgdl > 0 else 1.0
-                for _ld, mt in s.block_meta_rows(rows):
+                for _ld, mt in s.block_meta_rows(rows, avgdl):
                     if len(mt):
-                        best = max(best, float(mt.max()) * infl)
+                        best = max(best, float(mt.max()))
             if not local_df or best == 0.0:
                 continue
             df = dfm.get((int(h), int(g)), 0)
@@ -130,6 +133,21 @@ class DocShardActor:
     ) -> "list[tuple[np.ndarray, np.ndarray]]":
         return [self.search_topk(q, k, df_map, n_docs, avgdl) for q in queries]
 
+    @contextlib.contextmanager
+    def _global_stats(self, df_map, n_docs: int, avgdl: float):
+        """The local engine under one request's GLOBAL statistics (df via
+        ``df_override``, n_docs, avgdl), restored on exit; concurrent
+        requests take turns."""
+        eng = self.engine
+        with self._stats_lock:
+            old = (eng.n_docs, eng.avgdl, eng.df_override)
+            try:
+                eng.n_docs, eng.avgdl = int(n_docs), float(avgdl)
+                eng.df_override = {(int(h), int(g)): int(v) for (h, g), v in df_map.items()}
+                yield eng
+            finally:
+                eng.n_docs, eng.avgdl, eng.df_override = old
+
     def search_topk(
         self,
         query: str,
@@ -139,18 +157,9 @@ class DocShardActor:
         avgdl: float,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Local top-k under GLOBAL statistics (returns doc_ids, scores)."""
-        eng = self.engine
-        old = (eng.n_docs, eng.avgdl, eng.df_override)
-        try:
-            eng.n_docs, eng.avgdl = int(n_docs), float(avgdl)
-            eng.df_override = {(int(h), int(g)): int(v) for (h, g), v in df_map.items()}
+        with self._global_stats(df_map, n_docs, avgdl) as eng:
             t = eng.search(query, k=k)
-            return (
-                t["doc_id"].to_numpy(zero_copy_only=False),
-                t["score"].to_numpy(zero_copy_only=False),
-            )
-        finally:
-            eng.n_docs, eng.avgdl, eng.df_override = old
+        return t["doc_id"].to_numpy(zero_copy_only=False), t["score"].to_numpy(zero_copy_only=False)
 
     def search_topk_sorted(
         self,
@@ -165,17 +174,11 @@ class DocShardActor:
         (doc_ids, scores, keys) — keys are the RAW doc-values (NaN for
         null) so the front can merge shards in the same total order the
         local engine uses (key direction, nulls last, doc_id asc)."""
-        eng = self.engine
-        old = (eng.n_docs, eng.avgdl, eng.df_override)
-        try:
-            eng.n_docs, eng.avgdl = int(n_docs), float(avgdl)
-            eng.df_override = {(int(h), int(g)): int(v) for (h, g), v in df_map.items()}
+        with self._global_stats(df_map, n_docs, avgdl) as eng:
             t = eng.search(query, k=k, sort_by=sort_by)
-            doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            keys = eng.docvalues_for(doc_ids.astype(np.uint64), sort_by[0])
-            return (doc_ids, t["score"].to_numpy(zero_copy_only=False), keys)
-        finally:
-            eng.n_docs, eng.avgdl, eng.df_override = old
+        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        keys = self.engine.docvalues_for(doc_ids.astype(np.uint64), sort_by[0])
+        return doc_ids, t["score"].to_numpy(zero_copy_only=False), keys
 
     # --- aggregation partials (facets / histograms / field stats) --------
 

@@ -25,6 +25,9 @@ doc_id asc).
 One ``SearchEngine`` instance is the actor state for serving (the
 ConfigureForServing analog, SimpleIndex.cpp:219-270): dictionaries load
 once per actor; queries then run against read-only in-memory state.
+Opening has one path: the constructor sets empty state and calls
+``refresh()``, which opens the segments it does not hold yet and
+re-derives the corpus constants (``QueryAlgebra._set_corpus``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import pyarrow.parquet as pq
 from bitfunnel_ray.build import segment as seglib
 from bitfunnel_ray.build.encode import decode_chunk
 from bitfunnel_ray.functions import bm25
-from bitfunnel_ray.functions.hashing import murmur64a, ngram_hash
+from bitfunnel_ray.functions.hashing import FACT_STREAM_ID, fact_term_hash, murmur64a, ngram_hash
 from bitfunnel_ray.query import ast, wand
 from bitfunnel_ray.query.parser import parse_query
 from bitfunnel_ray.query.vocab import Vocab
@@ -126,15 +129,19 @@ class _Segment:
         ]
         return parts
 
-    def block_meta_rows(self, rows: list[int]):
+    def block_meta_rows(self, rows: list[int], avgdl: float):
         """(last_docs, max_tfn) arrays per chunk row (build-time block-max
-        metadata, bitfunnel_ray/build/encode.py)."""
+        metadata, bitfunnel_ray/build/encode.py), max_tfn inflated for a
+        serving ``avgdl`` above this segment's build avgdl: tfn is monotone
+        in avgdl with ratio bounded by avgdl_serve/avgdl_build, so the
+        inflated maxima stay safe upper bounds."""
+        infl = max(1.0, avgdl / self.avgdl) if self.avgdl > 0 else 1.0
         ld_col = self.dict["last_docs"]
         mt_col = self.dict["max_tfn"]
         return [
             (
                 np.asarray(ld_col[r].as_py(), dtype=np.uint64),
-                np.asarray(mt_col[r].as_py(), dtype=np.float64),
+                np.asarray(mt_col[r].as_py(), dtype=np.float64) * infl,
             )
             for r in rows
         ]
@@ -267,8 +274,9 @@ class QueryAlgebra:
     Subclasses provide the storage primitives:
       - ``postings(term_hash, gram) -> Postings``
       - ``_complement(sorted_docs) -> sorted doc ids NOT in the input``
-    plus attrs ``n_docs, avgdl, max_gram, k1, b, stream_map, tombstones``
-    and optionally ``urls``/``all_docs`` (URL decoration).
+    plus ``tombstones``, the corpus constants (``n_docs, avgdl, max_gram,
+    k1, b, stream_map, fact_hashes``, set from the segments by
+    ``_set_corpus``) and optionally ``urls``/``all_docs`` (URL decoration).
 
     NOT/complement never touches a global doc-id array here — it is a
     single ``_complement`` call, so a sharded engine can anti-join against
@@ -287,6 +295,19 @@ class QueryAlgebra:
     # runner snapshots the counter around each query to emit a per-query
     # postings_rows column.
     stat_postings_rows = 0
+
+    def _set_corpus(self, segments: "list[_Segment]") -> None:
+        """The corpus constants of a segment set: ``n_docs`` and ``avgdl``
+        from the summed totals, ``max_gram``/``k1``/``b`` and the streams
+        (plus the fact stream) from the first segment, and the stored
+        hashes of every segment's facts."""
+        self.n_docs = sum(s.n_docs for s in segments)
+        self.avgdl = sum(s.sum_doclen for s in segments) / self.n_docs if self.n_docs else 1.0
+        s0 = segments[0]
+        self.max_gram, self.k1, self.b = s0.max_gram, s0.k1, s0.b
+        self.stream_map = dict(s0.streams)  # name -> id (StreamConfiguration analog)
+        self.stream_map.setdefault("fact", FACT_STREAM_ID)
+        self.fact_hashes = frozenset(fact_term_hash(n) for s in segments for (n, _c) in s.facts)
 
     def postings(self, term_hash: int, gram: int) -> Postings:  # pragma: no cover
         raise NotImplementedError
@@ -933,94 +954,49 @@ class SearchEngine(QueryAlgebra):
         load_urls: bool = True,
         tombstones: np.ndarray | None = None,
     ):
-        self._locator = index_dirs  # pre-resolution, for refresh()
+        self._locator = index_dirs  # pre-resolution, re-resolved by refresh()
         self._load_urls = bool(load_urls)
-        index_dirs = seglib.resolve_segment_dirs(index_dirs)
-        self.segments = [_Segment(d) for d in index_dirs]
-        self.n_docs = sum(s.n_docs for s in self.segments)
-        self.avgdl = (
-            sum(s.sum_doclen for s in self.segments) / self.n_docs if self.n_docs else 1.0
-        )
-        s0 = self.segments[0]
-        self.max_gram, self.k1, self.b = s0.max_gram, s0.k1, s0.b
-        self.stream_map = dict(s0.streams)  # name -> id (StreamConfiguration analog)
-        from bitfunnel_ray.functions.hashing import FACT_STREAM_ID, fact_term_hash
-
-        self.stream_map.setdefault("fact", FACT_STREAM_ID)
-        self.fact_hashes = frozenset(
-            fact_term_hash(n) for s in self.segments for (n, _c) in s.facts
-        )
-        metas = []
-        for s in self.segments:
-            cols = ["doc_id", "url"] if load_urls else ["doc_id"]
-            metas.append(pq.read_table(os.path.join(s.dir, "docmeta"), columns=cols))
-        meta = pa.concat_tables(metas)
-        ids = meta["doc_id"].to_numpy()
-        order = np.argsort(ids, kind="stable")
-        self.all_docs = ids[order].astype(np.uint64)
-        self.urls = (
-            np.asarray(meta["url"].to_pylist(), dtype=object)[order] if load_urls else None
-        )
         self.tombstones = (
             np.sort(np.asarray(tombstones, dtype=np.uint64))
             if tombstones is not None and len(tombstones)
             else None
         )
+        self.segments: list[_Segment] = []
+        self.all_docs = np.empty(0, np.uint64)
+        self.urls = np.empty(0, dtype=object) if load_urls else None
         self._cache: dict[tuple[int, int], Postings] = {}
         self._docvalues: dict[str, np.ndarray] = {}
-        # segments' vocab sidecars: read on first suggest/fuzzy/correct use
-        self.vocab = Vocab(index_dirs)
+        if not self.refresh():
+            raise FileNotFoundError(f"no index segment in {index_dirs!r}")
 
     @property
     def _vocab_pending(self) -> bool:
         return self.vocab.pending
 
     def refresh(self) -> int:
-        """Open segments that completed since this engine loaded — the
-        Lucene NRT-reopen analog (the reference ingests into a LIVE index,
-        Ingestor::Add / src/Index/src/Ingestor.cpp; our additive-segment
-        equivalent re-resolves the build root in place).  Corpus stats
-        (n_docs/avgdl), doc maps, facts, and both caches update; returns
-        the number of newly opened segments (0 = nothing new)."""
-        dirs = seglib.resolve_segment_dirs(self._locator)
+        """Open the segments of the locator this engine does not hold yet
+        (all of them when the engine is built) — the Lucene NRT-reopen
+        analog (the reference ingests into a LIVE index, Ingestor::Add /
+        src/Index/src/Ingestor.cpp; our additive-segment equivalent
+        re-resolves the build root in place).  Corpus constants
+        (``_set_corpus``), doc maps and both caches update; returns the
+        number of newly opened segments (0 = nothing new)."""
         have = {s.dir for s in self.segments}
-        new = [d for d in dirs if d not in have]
+        new = [_Segment(d) for d in seglib.resolve_segment_dirs(self._locator) if d not in have]
         if not new:
             return 0
-        self.segments.extend(_Segment(d) for d in new)
-        self.n_docs = sum(s.n_docs for s in self.segments)
-        self.avgdl = (
-            sum(s.sum_doclen for s in self.segments) / self.n_docs if self.n_docs else 1.0
-        )
-        from bitfunnel_ray.functions.hashing import fact_term_hash
-
-        self.fact_hashes = frozenset(
-            fact_term_hash(n) for s in self.segments for (n, _c) in s.facts
-        )
+        self.segments.extend(new)
+        self._set_corpus(self.segments)
         cols = ["doc_id", "url"] if self._load_urls else ["doc_id"]
-        metas = [pa.table({"doc_id": pa.array(self.all_docs, pa.uint64())})]
-        if self._load_urls:
-            metas[0] = metas[0].append_column("url", pa.array(self.urls.tolist(), pa.string()))
-        for d in new:
-            t = pq.read_table(os.path.join(d, "docmeta"), columns=cols)
-            # docmeta keeps the corpus doc_id dtype (int64 for user-built
-            # corpora); align to uint64 so the concat never type-clashes
-            metas.append(
-                t.set_column(
-                    t.column_names.index("doc_id"),
-                    "doc_id",
-                    pa.array(
-                        t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
-                        pa.uint64(),
-                    ),
-                )
-            )
-        meta = pa.concat_tables(metas)
-        ids = meta["doc_id"].to_numpy().astype(np.uint64)
+        metas = [pq.read_table(os.path.join(s.dir, "docmeta"), columns=cols) for s in new]
+        # docmeta keeps the corpus doc_id dtype (int64 for user-built
+        # corpora, uint64 once lifted); align every segment's ids to uint64
+        ids = np.concatenate([self.all_docs] + [m["doc_id"].to_numpy().astype(np.uint64) for m in metas])
         order = np.argsort(ids, kind="stable")
         self.all_docs = ids[order]
         if self._load_urls:
-            self.urls = np.asarray(meta["url"].to_pylist(), dtype=object)[order]
+            urls = [np.asarray(m["url"].to_pylist(), dtype=object) for m in metas]
+            self.urls = np.concatenate([self.urls] + urls)[order]
         # decoded postings merge ACROSS segments, doc values align to
         # all_docs, cached results and the docstore footer index cover the
         # old segment set — all stale now
@@ -1090,10 +1066,7 @@ class SearchEngine(QueryAlgebra):
         for s in self.segments:
             rows = s.chunk_rows(term_hash, gram)
             parts.extend(s.decode_rows(rows))
-            # inflate stored max_tfn when serving avgdl > build avgdl (tfn is
-            # monotone in avgdl with ratio bounded by avgdl_serve/avgdl_build)
-            infl = max(1.0, self.avgdl / s.avgdl) if s.avgdl > 0 else 1.0
-            metas.extend((ld, mt * infl) for ld, mt in s.block_meta_rows(rows))
+            metas.extend(s.block_meta_rows(rows, self.avgdl))
         out = merge_chunks(parts, metas)
         self.stat_postings_rows += len(out.doc_ids)
         if len(self._cache) < 100_000:

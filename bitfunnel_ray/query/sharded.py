@@ -9,13 +9,16 @@ partitions the dictionary — by term-hash bucket:
 
 - ``IndexShardActor`` s (of S) opens ONLY the dict buckets with
   ``bucket % S == s`` (every segment), plus a 1/S slice of the docmeta
-  doc-id files.  Per-actor memory is ~1/S of the index.
+  doc-id files.  Per-actor memory is ~1/S of the index.  The actor opens
+  its dirs through ``refresh``, the same code an NRT refresh runs.
 - ``ShardedSearchEngine`` is the scatter-gather front: it routes each
   (term_hash, gram) lookup to the owning shard — or to ALL shards for
   salted head terms, whose chunks are deliberately spread across buckets
   (build/builder.py head salting; the ``heads.parquet`` sidecar lists
   them) — merges the returned chunks, and runs the same boolean/BM25
-  algebra as the local engine (``QueryAlgebra``).
+  algebra as the local engine (``QueryAlgebra``), with the corpus
+  constants derived the same way (``_set_corpus`` over manifest-only
+  segments).
 - NOT/complement is an anti-join scattered to every shard against its
   LOCAL doc-id slice (the DocumentActive-row analog,
   src/Index/src/Ingestor.cpp:302-327) — no global doc-id array exists
@@ -105,26 +108,12 @@ class IndexShardActor:
         # multi-MB posting lists per hot term (F× shard CPU, F× copies)
         self._ref_cache = LruCache(65536)
         self.segments = []
-        local_doc_parts = []
+        self.local_docs = np.empty(0, np.uint64)
         # docmeta slice recipe: (file, row_mask|None) pairs — doc-values
         # columns load lazily from exactly this slice (see _local_docvalue)
         self._meta_slices: "list[tuple[str, np.ndarray | None]]" = []
         self._docvals: dict = {}
-        for d in index_dirs:
-            self._open_dir(d, local_doc_parts)
-        self.local_docs = (
-            np.sort(np.concatenate(local_doc_parts))
-            if local_doc_parts
-            else np.empty(0, np.uint64)
-        )
-        self._new_vocab()
-
-    def _new_vocab(self) -> None:
-        # this shard's stripe of the segments' vocab sidecars, read lazily
-        # on the first suggest/fuzzy/correct RPC
-        self._vocab = Vocab(
-            [s.dir for s in self.segments], shard=(self.shard_id, self.n_shards)
-        )
+        self.refresh(index_dirs)
 
     def _open_dir(self, d: str, local_doc_parts: list) -> None:
         """Open one segment dir: this shard's bucket subset + its docmeta
@@ -137,56 +126,46 @@ class IndexShardActor:
         mine = [b for b in range(num_buckets) if b % n_shards == shard_id]
         self.segments.append(_Segment(d, buckets=mine))
         meta_files = sorted(glob.glob(os.path.join(d, "docmeta", "*.parquet")))
-        if len(meta_files) >= n_shards:
-            # file-granular slice: each shard READS only ~1/S of the
-            # docmeta files (the scale path — shard count ≪ file count)
-            for i, f in enumerate(meta_files):
-                if i % n_shards == shard_id:
-                    local_doc_parts.append(
-                        pq.read_table(f, columns=["doc_id"])["doc_id"]
-                        .to_numpy()
-                        .astype(np.uint64)
-                    )
-                    self._meta_slices.append((f, None))
-        else:
-            # fewer files than shards (tiny corpus): stripe rows
-            # round-robin so the cover stays disjoint and each shard
-            # still HOLDS only ~1/S of the doc ids
-            offset = 0
-            for f in meta_files:
-                ids = (
-                    pq.read_table(f, columns=["doc_id"])["doc_id"]
-                    .to_numpy()
-                    .astype(np.uint64)
-                )
-                idx = np.arange(offset, offset + len(ids))
-                mask = idx % n_shards == shard_id
-                local_doc_parts.append(ids[mask])
-                self._meta_slices.append((f, mask))
-                offset += len(ids)
+        # file-granular slice when files ≥ shards: each shard READS only
+        # ~1/S of the docmeta files (the scale path — shard count ≪ file
+        # count); fewer files than shards (tiny corpus): rows striped
+        # round-robin, so the cover stays disjoint and each shard still
+        # HOLDS only ~1/S of the doc ids
+        by_file = len(meta_files) >= n_shards
+        offset = 0
+        for i, f in enumerate(meta_files):
+            if by_file and i % n_shards != shard_id:
+                continue
+            ids = pq.read_table(f, columns=["doc_id"])["doc_id"].to_numpy().astype(np.uint64)
+            mask = None if by_file else np.arange(offset, offset + len(ids)) % n_shards == shard_id
+            local_doc_parts.append(ids if mask is None else ids[mask])
+            self._meta_slices.append((f, mask))
+            offset += len(ids)
 
     def refresh(self, new_dirs: "list[str]") -> int:
-        """Open newly completed segments in place (NRT refresh — the
-        reference ingests into a LIVE index, Ingestor::Add; additive
-        segments are our equivalent): this shard's bucket subset + docmeta
-        slice of each new dir, then drop both caches (decoded refs carry
-        avgdl-keyed inflation and doc values align to the slice — both
-        stale once the corpus grows)."""
+        """Open the dirs this shard does not hold yet (all of them when
+        the actor starts; NRT refresh after — the reference ingests into a
+        LIVE index, Ingestor::Add; additive segments are our equivalent):
+        this shard's bucket subset + docmeta slice of each, then drop both
+        caches (decoded refs carry avgdl-keyed inflation and doc values
+        align to the slice — both stale once the corpus grows) and restart
+        the vocab stripe.  Returns the number of dirs opened."""
         have = {s.dir for s in self.segments}
-        parts = [self.local_docs] if len(self.local_docs) else []
-        opened = 0
-        for d in new_dirs:
-            if d not in have:
-                self._open_dir(d, parts)
-                opened += 1
-        if opened:
-            self.local_docs = (
-                np.sort(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
-            )
-            self._ref_cache = LruCache(self._ref_cache.cap)
-            self._docvals.clear()
-            self._new_vocab()
-        return opened
+        new = [d for d in new_dirs if d not in have]
+        if not new:
+            return 0
+        parts = [self.local_docs]
+        for d in new:
+            self._open_dir(d, parts)
+        self.local_docs = np.sort(np.concatenate(parts))
+        self._ref_cache = LruCache(self._ref_cache.cap)
+        self._docvals.clear()
+        # this shard's stripe of the segments' vocab sidecars, read lazily
+        # on the first suggest/fuzzy/correct RPC
+        self._vocab = Vocab(
+            [s.dir for s in self.segments], shard=(self.shard_id, self.n_shards)
+        )
+        return len(new)
 
     def postings_many(self, pairs: "list[tuple[int, int]]", serve_avgdl: float):
         """For each (term_hash, gram): an ObjectRef to this shard's decoded
@@ -211,8 +190,7 @@ class IndexShardActor:
                     rows = s.chunk_rows(h, g)
                     for dc in s.decode_rows(rows):
                         parts.append((dc.doc_ids, dc.tf, dc.doclen))
-                    infl = max(1.0, serve_avgdl / s.avgdl) if s.avgdl > 0 else 1.0
-                    metas.extend((ld, mt * infl) for ld, mt in s.block_meta_rows(rows))
+                    metas.extend(s.block_meta_rows(rows, serve_avgdl))
                 ref = ray.put((parts, metas))
                 self._ref_cache.put(key, ref)
             out.append(ref)
@@ -319,35 +297,17 @@ class ShardedSearchEngine(QueryAlgebra):
         self.shards = [g[i] for g, i in zip(groups, self._replica_idx)]
         self._all_replicas = [h for g in groups for h in g]
         self.n_shards = len(self.shards)
-        mans, self._seg_buckets, heads = [], [], []
-        for d in index_dirs:
-            man = seglib.load_manifest(d)
-            if man is None:
-                raise FileNotFoundError(f"no manifest in {d}")
-            mans.append(man)
-            self._seg_buckets.append(int(man["config"]["num_buckets"]))
-            hp = os.path.join(d, "heads.parquet")
-            if os.path.exists(hp):
-                heads.append(pq.read_table(hp)["term_hash"].to_numpy().astype(np.uint64))
+        # manifests only: the corpus constants and totals, no dict bucket
+        self.segments = [_Segment(d, buckets=[]) for d in index_dirs]
+        self._set_corpus(self.segments)
+        self._seg_buckets = [s.num_buckets for s in self.segments]
+        heads = [
+            pq.read_table(hp)["term_hash"].to_numpy().astype(np.uint64)
+            for d in index_dirs
+            if os.path.exists(hp := os.path.join(d, "heads.parquet"))
+        ]
         self.head_hashes = (
             np.unique(np.concatenate(heads)) if heads else np.empty(0, np.uint64)
-        )
-        self.n_docs = sum(int(m["n_docs"]) for m in mans)
-        sum_dl = sum(int(m["sum_doclen"]) for m in mans)
-        self.avgdl = (sum_dl / self.n_docs) if self.n_docs else 1.0
-        cfg0 = mans[0]["config"]
-        self.max_gram = int(cfg0["max_gram"])
-        self.k1, self.b = float(cfg0["k1"]), float(cfg0["b"])
-        self.stream_map = {
-            name: int(sid) for (name, _c, sid) in cfg0.get("streams", [["body", "text", 0]])
-        }
-        from bitfunnel_ray.functions.hashing import FACT_STREAM_ID, fact_term_hash
-
-        self.stream_map.setdefault("fact", FACT_STREAM_ID)
-        self.fact_hashes = frozenset(
-            fact_term_hash(n)
-            for m in mans
-            for (n, _c) in (m["config"].get("facts", []) or [])
         )
         self.tombstones = (
             np.sort(np.asarray(tombstones, dtype=np.uint64))
@@ -634,7 +594,8 @@ class ShardedServer:
 
     def refresh(self) -> int:
         """NRT refresh: re-resolve the build root and open newly completed
-        segments on EVERY shard replica (blocking — when this returns, all
+        segments on EVERY shard replica, through the ``refresh`` each
+        actor opened its dirs with (blocking — when this returns, all
         replicas serve the grown corpus).  Front-end engines are cheap
         snapshots; make a new one via ``engine()`` after a refresh (the
         per-batch fronts in ``run()`` always see the current dirs).

@@ -100,3 +100,18 @@ def test_lost_spill_shard_fails_the_build(files, tmp_path, small_batch, make):
     with pytest.raises(RuntimeError, match=rf"bucket {bucket}: .* shards lost"):
         part["finish"]()
     assert segment.load_manifest(out) is None
+
+
+@pytest.mark.parametrize("make", [_plain, _transformed], ids=["plain", "transformed"])
+def test_zero_row_corpus_is_refused(files, tmp_path, make):
+    """A corpus without rows is refused with a ValueError on either path:
+    no staging dir (docmeta or spill) is left and no manifest is
+    published."""
+    spill = tmp_path / "spill"
+    cfg = EngineConfig(max_gram=1, num_buckets=4, extra={"spill_root": str(spill)})
+    out = tmp_path / "seg"
+    with pytest.raises(ValueError, match="no rows"):
+        builder.build_index(make([f for f in files if "empty" in f]), str(out), cfg)
+    assert segment.load_manifest(str(out)) is None
+    assert not os.path.exists(out / "docmeta.tmp") and not os.path.exists(out / "docmeta")
+    assert list(spill.iterdir()) == []

@@ -63,7 +63,7 @@ def test_docsharded_needs_global_df(waved):
 
     srv = DocShardedServer(waved, n_shards=2, num_cpus_per_shard=0.25)
     try:
-        pairs = ray.get(srv.shards[0].scoring_pairs.remote("table"))
+        pairs = ray.get(srv.shards[0].scoring_pairs_many.remote(["table"]))[0][0]
         per_shard = ray.get([s.term_stats.remote(pairs) for s in srv.shards])
         local_dfs = [d[0] for d in per_shard]
         assert sum(local_dfs) > max(local_dfs) > 0

@@ -283,3 +283,38 @@ def test_fuzzy_parity(server, built):
         b = eng.search(q, k=20)
         assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist(), q
         assert a["score"].to_pylist() == b["score"].to_pylist(), q
+
+
+def test_fronts_derive_the_same_corpus_constants(tmp_path_factory, ray_session):
+    """Over a two-segment set with facts, the term-sharded front reports
+    the local engine's corpus constants and query-likelihood ranking, and
+    the doc-sharded server its n_docs and avgdl."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from bitfunnel_ray.query.docsharded import DocShardedServer
+    from bitfunnel_ray.sources.corpus import _lift_documents_batch
+
+    root = tmp_path_factory.mktemp("sharded_facts")
+    docs = _lift_documents_batch(pq.read_table(f"{SF}/documents.parquet"))
+    docs = docs.append_column("is_even", pa.array(docs["doc_id"].to_numpy() % 2 == 0))
+    cfg = EngineConfig(max_gram=2, num_buckets=8, facts=(("even_doc", "is_even"),))
+    s1, s2 = str(root / "s1"), str(root / "s2")
+    build_index(rd.from_arrow(docs.slice(0, 200)), s1, cfg)
+    build_index(rd.from_arrow(docs.slice(200)), s2, cfg)
+    local = SearchEngine([s1, s2], load_urls=False)
+    assert local.fact_hashes and local.stream_map["fact"] != local.stream_map["body"]
+    srv = ShardedServer([s1, s2], n_shards=2, num_cpus_per_shard=0.25)
+    try:
+        eng = srv.engine()
+        for name in ("n_docs", "avgdl", "k1", "b", "max_gram", "stream_map", "fact_hashes"):
+            assert getattr(eng, name) == getattr(local, name), name
+        # query likelihood reads the corpus token total from the segments
+        assert eng.qld_topk(["table", "join"], k=10).equals(local.qld_topk(["table", "join"], k=10))
+    finally:
+        srv.shutdown()
+    dsrv = DocShardedServer([s1, s2], n_shards=2, num_cpus_per_shard=0.25)
+    try:
+        assert (dsrv.n_docs, dsrv.avgdl) == (local.n_docs, local.avgdl)
+    finally:
+        dsrv.shutdown()
