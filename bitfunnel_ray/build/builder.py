@@ -308,15 +308,13 @@ class TokenizeSpill:
         # stored-fields sidecar (build/docstore.py) — staged beside the
         # docmeta tmp dir and published atomically with it
         self.store_dir = (meta_dir + "-docstore") if cfg.store_fields else None
-        # lz4 IPC by default — 2M-doc interleaved A/B: at 32-way
+        # lz4 IPC — 2M-doc interleaved A/B: at 32-way
         # concurrency the RAM-backed spill is memory-bandwidth-bound and
         # lz4 halves the spill stage (18.7 s -> 8.8 s) while costing ~4%
         # at 8-way (compression CPU scales with cores; the bus doesn't).
         # On a real cluster spill is node-local SSD/NVMe, where
-        # compression is the standard default anyway.  "spill_compression":
-        # None (or "none") restores raw IPC.
-        comp = cfg.extra.get("spill_compression", "lz4")
-        self.compression = None if comp in (None, "none") else comp
+        # compression is the standard default anyway.
+        self.compression = "lz4"
 
     def _vocab_partial(self, uni: pa.Table) -> pa.Table:
         """(bucket, term, df) rows of one batch's unigram partial, bucket =
@@ -419,21 +417,21 @@ def _spill_map(batch: pa.Table, *, ctor: tuple) -> pa.Table:
     return ts(batch)
 
 
-def _encode_num_cpus(cfg: EngineConfig) -> float:
+def _encode_num_cpus() -> float:
     """CPUs reserved per encode task.  Encode is memory-bandwidth-bound,
     not compute-bound: at full task-per-core concurrency 32 concurrent
     varint/EF packers thrash the shared bus and run ABSOLUTELY slower
     than 16 (measured 2M-doc A/B: encode 16.2-23.6 s at 32-way vs
     8.4-18.3 s at 16-way, min-of-2 each).  2 CPUs per task halves the
     concurrent encode tasks per node; on a real cluster this is per-node
-    bandwidth management, the same knob.  Small sessions (< 16 CPUs —
+    bandwidth management.  Small sessions (< 16 CPUs —
     unit tests, laptops) keep 1: the bus isn't contended there, and a
     2-CPU reservation can deadlock against live actor pools."""
     cpus = ray.cluster_resources().get("CPU", 0)
-    return float(cfg.extra.get("encode_num_cpus", 2 if cpus >= 16 else 1))
+    return 2.0 if cpus >= 16 else 1.0
 
 
-def _encode_groups(work: "list[tuple[int, int, int]]", cfg: EngineConfig) -> "list[list]":
+def _encode_groups(work: "list[tuple[int, int, int]]") -> "list[list]":
     """``(bucket, rows, vocab_rows)`` grouped into encode tasks: several
     small buckets per task amortize its fixed cost (glob, parquet write),
     which dominates once auto-bucketing or wave splits shrink buckets
@@ -444,7 +442,7 @@ def _encode_groups(work: "list[tuple[int, int, int]]", cfg: EngineConfig) -> "li
         return []
     mean_rows = max(1, sum(r for _b, r, _v in work) // len(work))
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    slots = max(1, int(cpus // max(1.0, _encode_num_cpus(cfg))))
+    slots = max(1, int(cpus // max(1.0, _encode_num_cpus())))
     step = max(1, min(len(work) // (2 * slots), 4_000_000 // mean_rows))
     return [work[i : i + step] for i in range(0, len(work), step)]
 
@@ -889,11 +887,11 @@ def build_index(
                 .sum()
                 .astype(int)
             )
-            enc_cpus = _encode_num_cpus(cfg)
+            enc_cpus = _encode_num_cpus()
             groups = _encode_groups([
                 (int(b), int(r), int(v))
                 for b, r, v in zip(per_bucket.index, per_bucket["rows"], per_bucket["vocab_rows"])
-            ], cfg)
+            ])
             # In deferred (overlap) mode the encode runs CONCURRENTLY with
             # the next wave's spill: cap concurrent encode tasks to half
             # the cluster so the bandwidth-floored encode never starves

@@ -133,18 +133,6 @@ def expire_group(root: str, group_id: str) -> int:
     return len(dirs)
 
 
-def active_segment_dirs(root: str) -> "list[str]":
-    """Segment dirs of every non-expired group, in ingest order — feed
-    straight to SearchEngine / ShardedServer / resolve_segment_dirs."""
-    st = _load(root)
-    out: list[str] = []
-    for gid in st["groups"]:
-        out.extend(st["groups"][gid]["segment_dirs"])
-    # ingest order is append order within a group; across groups sort by
-    # path (g-<gid>/seg-NNNN) for a deterministic serve-time order
-    return sorted(out)
-
-
 def status(root: str) -> dict:
     """{"open": gid|None, "groups": {gid: {"state", "n_segments", "n_docs"}}}"""
     st = _load(root)

@@ -119,13 +119,6 @@ def minhash_signatures(texts: pa.Array, k: int = 3) -> np.ndarray:
     return sigs
 
 
-def minhash_signature(sh: np.ndarray) -> np.ndarray:
-    """64-perm minhash of one shingle-hash set (xor-permutation family)."""
-    if not len(sh):
-        return np.full(_NPERM, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    return (sh[:, None] ^ _PERM_XOR[None, :]).min(axis=0)
-
-
 class MinhashBands:
     """corpus batch → (band_id, band_key, doc_id) rows for LSH bucketing."""
 
@@ -778,27 +771,6 @@ def jaccard_verify(
     return _payload_join(pairs, sh, _p(_reduce_jaccard, threshold=threshold))
 
 
-def minhash_sig_rows(corpus: "ray.data.Dataset", k: int = 3) -> "ray.data.Dataset":
-    """(doc_id, payload = 64-perm minhash signature as int64 views)."""
-
-    def sig_batch(t: pa.Table) -> pa.Table:
-        sigs = minhash_signatures(t["text"], k)  # (n, 64) uint64
-        n = len(t)
-        offsets = pa.array(np.arange(0, (n + 1) * _NPERM, _NPERM, dtype=np.int32))
-        # 32-bit views: the estimate only compares components for equality
-        flat = (sigs.ravel() & np.uint64(0xFFFFFFFF)).astype(np.uint32).view(np.int32)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].cast(pa.int64()),
-                "payload": pa.ListArray.from_arrays(offsets, pa.array(flat, pa.int32())),
-            }
-        )
-
-    return corpus.select_columns(["doc_id", "text"]).map_batches(
-        sig_batch, batch_format="pyarrow"
-    )
-
-
 def _sig32_rows_from_shingles(
     sh64: "ray.data.Dataset", bloom_ref
 ) -> "ray.data.Dataset":
@@ -822,31 +794,6 @@ def _sig32_rows_from_shingles(
     return _bloom_filter_ids(sh64, bloom_ref).map_batches(
         sig_batch, batch_format="pyarrow"
     )
-
-
-def sig_prefilter(
-    corpus: "ray.data.Dataset",
-    pairs: "ray.data.Dataset",
-    k: int,
-    min_est: float,
-    fpr: float = 0.01,
-) -> "ray.data.Dataset":
-    """Drop candidate pairs whose SIGNATURE-estimated Jaccard (matching
-    components / 64) is below ``min_est`` — a fixed-width, sort-free join
-    that typically cuts the exact-verify volume ~10x.  A true pair at
-    jaccard j survives with prob P(Binom(64, j)/64 ≥ min_est); with the
-    default margin (min_est = threshold - 0.2) the false-negative rate at
-    j ≥ threshold is < 1e-5.  Candidate docs are bloom-gated (see
-    ``_candidate_bloom_ref``) — no driver-side id gather."""
-    from functools import partial as _p
-
-    bloom_ref = _candidate_bloom_ref(pairs, fpr)
-    if bloom_ref is None:
-        return pairs
-    sigs = minhash_sig_rows(
-        _bloom_filter_ids(corpus.select_columns(["doc_id", "text"]), bloom_ref), k
-    )
-    return _payload_join(pairs, sigs, _p(_reduce_sig_est, min_est=min_est))
 
 
 def minhash_dedup_pairs(

@@ -744,22 +744,6 @@ def resolve_redirects(redirects, *, max_rounds: int = 16):
 # --- PageRank --------------------------------------------------------------
 
 
-def _degree_partials(t: pa.Table) -> pa.Table:
-    src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-    u, c = np.unique(src, return_counts=True)
-    v = np.unique(dst)
-    return pa.table(
-        {
-            "node": pa.array(np.concatenate([u, v]), pa.int64()),
-            "deg": pa.array(
-                np.concatenate([c.astype(np.int64), np.zeros(len(v), np.int64)]),
-                pa.int64(),
-            ),
-        }
-    )
-
-
 def _uniq_finish(t: pa.Table) -> pa.Table:
     """Post-exchange node dedup (shared by pagerank/trustrank/label
     propagation/BFS — previously copy-pasted per function)."""

@@ -20,8 +20,11 @@ This server runs the standard two-phase protocol:
    tiny RPC per shard); the front sums them into global df.
 2. scoring round — every shard runs the full match + score with the
    global (df, n_docs, avgdl) injected (``QueryAlgebra.df_override``)
-   and returns its local top-k; the front merges on (score desc,
-   doc_id asc) and cuts to k.
+   and returns its local top-k; the front merges the per-shard lists in
+   one function (``_merge_topk``, through the same ranking tail as a
+   local engine, ``wand.top_k``) and cuts to k.  ``search`` is the
+   one-query case of the batch scoring round the query-log front
+   (``run``) sends; ``search_selective`` merges the shards it probed.
 
 Because a document lives in exactly one shard, its score is computed in
 one place with the same canonical accumulation order and the same global
@@ -45,8 +48,9 @@ from bitfunnel_ray.build import segment as seglib
 from bitfunnel_ray.functions.bm25 import term_weight
 from bitfunnel_ray.query import ast
 from bitfunnel_ray.query.parser import parse_query
+from bitfunnel_ray.query.runner import map_query_log
 from bitfunnel_ray.query.vocab import gather
-from bitfunnel_ray.query.wand import topk_order
+from bitfunnel_ray.query.wand import ranked_table, top_k
 
 
 @ray.remote(max_concurrency=4)
@@ -270,64 +274,21 @@ class DocShardedServer:
         k: int = 10,
         sort_by: "tuple[str, str] | None" = None,
     ) -> pa.Table:
+        """Exact global top-k; ``sort_by=(col, direction)`` merges the
+        per-shard sort-by-field top-ks on their raw doc values, in the
+        local engine's order."""
         df_map = self._stats_round(query)
-        if sort_by is not None:
-            return self._search_sorted(query, k, df_map, sort_by)
-        # phase 2: local top-k under global stats, merged deterministically
+        if sort_by is None:
+            # phase 2: the one-query case of the batch scoring round
+            top = _search_many(self.shards, [query], k, df_map, self.n_docs, self.avgdl)[0]
+            return ranked_table(*top)
         parts = ray.get(
             [
-                s.search_topk.remote(query, k, df_map, self.n_docs, self.avgdl)
+                s.search_topk_sorted.remote(query, k, df_map, self.n_docs, self.avgdl, sort_by)
                 for s in self.shards
             ]
         )
-        doc_ids = np.concatenate([d for d, _ in parts]) if parts else np.empty(0, np.uint64)
-        scores = np.concatenate([s for _, s in parts]) if parts else np.empty(0, np.float64)
-        order = topk_order(scores, doc_ids, k)
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
-                "doc_id": pa.array(doc_ids[order], pa.uint64()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
-        )
-
-    def _search_sorted(
-        self,
-        query: str,
-        k: int,
-        df_map: "dict[tuple[int, int], int]",
-        sort_by: "tuple[str, str]",
-    ) -> pa.Table:
-        """Sort-by-field: per-shard sorted top-k merged on the raw key in
-        the engine's total order (direction, nulls last, doc_id asc) —
-        the global top-k equals the top-k of per-shard top-ks because a
-        doc lives in exactly one shard.  Bit-identical to the local
-        engine's ``search(sort_by=...)`` (pytest)."""
-        col, direction = sort_by
-        if direction not in ("asc", "desc"):
-            raise ValueError(f"sort_by direction {direction!r}")
-        parts = ray.get(
-            [
-                s.search_topk_sorted.remote(
-                    query, k, df_map, self.n_docs, self.avgdl, sort_by
-                )
-                for s in self.shards
-            ]
-        )
-        doc_ids = np.concatenate([d for d, _, _ in parts]) if parts else np.empty(0, np.uint64)
-        scores = np.concatenate([s for _, s, _ in parts]) if parts else np.empty(0, np.float64)
-        keys = np.concatenate([v for _, _, v in parts]) if parts else np.empty(0, np.float64)
-        if direction == "desc":
-            keys = -keys
-        keys = np.where(np.isnan(keys), np.inf, keys)  # nulls last, as local
-        order = np.lexsort((doc_ids, keys))[:k]
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
-                "doc_id": pa.array(doc_ids[order], pa.uint64()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
-        )
+        return ranked_table(*_merge_topk(parts, k, sort_by[1]))
 
     # --- serving aggregations (parity with the term-sharded front) -------
 
@@ -497,48 +458,24 @@ class DocShardedServer:
             ]
         )
         order = sorted(range(len(self.shards)), key=lambda i: (-bounds[i], i))
-        doc_parts, score_parts = [], []
-        probed = 0
+        parts = []
         i = 0
         while i < len(order):
-            # current k-th score (the displacement threshold), if k held
-            if doc_parts:
-                all_s = np.concatenate(score_parts)
-                if len(all_s) >= k:
-                    kth = np.partition(all_s, -k)[-k]
-                    # every remaining shard has bound <= bounds[order[i]]
-                    if bounds[order[i]] < kth:
-                        break
+            # current k-th score (the displacement threshold), if k held;
+            # every remaining shard has bound <= bounds[order[i]]
+            held = np.concatenate([s for _, s in parts] or [np.empty(0)])
+            if len(held) >= max(k, 1) and bounds[order[i]] < np.partition(held, -k)[-k]:
+                break
             batch = order[i : i + max(1, int(wave))]
             i += len(batch)
-            probed += len(batch)
-            parts = ray.get(
+            parts += ray.get(
                 [
-                    self.shards[j].search_topk.remote(
-                        query, k, df_map, self.n_docs, self.avgdl
-                    )
+                    self.shards[j].search_topk.remote(query, k, df_map, self.n_docs, self.avgdl)
                     for j in batch
                 ]
             )
-            for d, s in parts:
-                if len(d):
-                    doc_parts.append(d)
-                    score_parts.append(s)
-        self.last_shards_probed = probed
-        doc_ids = (
-            np.concatenate(doc_parts) if doc_parts else np.empty(0, np.uint64)
-        )
-        scores = (
-            np.concatenate(score_parts) if score_parts else np.empty(0, np.float64)
-        )
-        order_f = topk_order(scores, doc_ids, k)
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(order_f) + 1, dtype=np.uint32)),
-                "doc_id": pa.array(doc_ids[order_f], pa.uint64()),
-                "score": pa.array(scores[order_f], pa.float64()),
-            }
-        )
+        self.last_shards_probed = i
+        return ranked_table(*_merge_topk(parts, k))
 
     def run(
         self,
@@ -554,24 +491,9 @@ class DocShardedServer:
         scoring RPC per shard for all queries — so the per-query RPC cost
         amortizes across the batch.  Output: (query_id, rank, doc_id,
         score) rows, identical to per-query ``search()``."""
-        import ray.data
-
-        if isinstance(queries, pa.Table):
-            from bitfunnel_ray.query.runner import table_to_blocks
-
-            queries = table_to_blocks(queries, batch_size, concurrency)
-        return queries.map_batches(
-            _DocShardedFront,
-            fn_constructor_kwargs={
-                "shard_handles": self.shards,
-                "k": k,
-                "n_docs": self.n_docs,
-                "avgdl": self.avgdl,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=num_cpus_per_front,
+        kwargs = {"shard_handles": self.shards, "k": k, "n_docs": self.n_docs, "avgdl": self.avgdl}
+        return map_query_log(
+            queries, _DocShardedFront, kwargs, concurrency, batch_size, num_cpus_per_front
         )
 
     def shutdown(self) -> None:
@@ -601,10 +523,29 @@ def _global_df(shards, queries: "list[str]", df_cache: dict) -> "dict[tuple[int,
     return {p: df_cache[p] for p in sorted(pairs)}
 
 
+def _merge_topk(parts, k: int, direction: "str | None" = None):
+    """The global top-k ``(doc_ids, scores)`` of per-shard top-k lists,
+    one ``(doc_ids, scores)`` per shard — or ``(doc_ids, scores, raw
+    keys)`` with a sort-by-field ``direction``.  A document lives in
+    exactly one shard, so the top k of their concatenation is the global
+    top k; it is taken by the local engine's ranking tail."""
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    return top_k(cols[0], cols[1], k, sort=None if direction is None else (cols[2], direction))
+
+
+def _search_many(shards, queries: "list[str]", k: int, df_map, n_docs: int, avgdl: float):
+    """The scoring round for a batch of queries under global statistics:
+    one RPC per shard, then each query's per-shard lists merged."""
+    per_shard = ray.get(
+        [s.search_topk_many.remote(queries, k, df_map, n_docs, avgdl) for s in shards]
+    )
+    return [_merge_topk([res[i] for res in per_shard], k) for i in range(len(queries))]
+
+
 class _DocShardedFront:
     """map_batches front-end for ``DocShardedServer.run``: per batch, the
     stats round over the batch's terms (``_global_df``; global df cached
-    across batches) + one scoring RPC per shard."""
+    across batches) + the scoring round (``_search_many``)."""
 
     def __init__(self, shard_handles, k: int, n_docs: int, avgdl: float):
         self.shards = shard_handles
@@ -614,29 +555,9 @@ class _DocShardedFront:
         self._df_cache: dict[tuple[int, int], int] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["query_id"].to_pylist()
         qs = batch["query"].to_pylist()
         df_map = _global_df(self.shards, qs, self._df_cache)
-        parts = ray.get(
-            [
-                s.search_topk_many.remote(qs, self.k, df_map, self.n_docs, self.avgdl)
-                for s in self.shards
-            ]
-        )
-        out_qid, out_rank, out_doc, out_score = [], [], [], []
-        for qi in range(len(qs)):
-            doc_ids = np.concatenate([shard[qi][0] for shard in parts])
-            scores = np.concatenate([shard[qi][1] for shard in parts])
-            order = topk_order(scores, doc_ids, self.k)
-            out_qid.extend([qids[qi]] * len(order))
-            out_rank.extend(range(1, len(order) + 1))
-            out_doc.extend(doc_ids[order].tolist())
-            out_score.extend(scores[order].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_qid, pa.int64()),
-                "rank": pa.array(out_rank, pa.uint32()),
-                "doc_id": pa.array(out_doc, pa.uint64()),
-                "score": pa.array(out_score, pa.float64()),
-            }
-        )
+        tops = _search_many(self.shards, qs, self.k, df_map, self.n_docs, self.avgdl)
+        out = pa.concat_tables([ranked_table(d, s) for d, s in tops])
+        qids = np.repeat(batch["query_id"].to_numpy(zero_copy_only=False), [len(d) for d, _ in tops])
+        return out.add_column(0, "query_id", pa.array(qids, pa.int64()))

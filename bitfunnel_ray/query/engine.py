@@ -22,6 +22,14 @@ float64 BM25, contributions of the query's distinct positive terms added
 in ascending (gram_size, term_hash) order, ties broken (score desc,
 doc_id asc).
 
+Ranking has one path: a ranked surface scores its candidates with
+``score`` (BM25) or ``qld_scores`` (QLD) and hands them to the ranking
+tail ``wand.top_k`` / ``wand.ranked_table`` — ``search`` and exhaustive
+``topk_or`` through ``_rank`` (eval → score → tail), champion lists by
+scoring their candidates as an OR, QLD by scoring the union of its
+terms' postings; block-max ``topk_or`` ends in the same tail inside
+``wand.wand_topk``.
+
 One ``SearchEngine`` instance is the actor state for serving (the
 ConfigureForServing analog, SimpleIndex.cpp:219-270): dictionaries load
 once per actor; queries then run against read-only in-memory state.
@@ -47,7 +55,7 @@ from bitfunnel_ray.functions.hashing import FACT_STREAM_ID, fact_term_hash, murm
 from bitfunnel_ray.query import ast, wand
 from bitfunnel_ray.query.parser import parse_query
 from bitfunnel_ray.query.vocab import Vocab
-from bitfunnel_ray.query.wand import _TermCursor, topk_order
+from bitfunnel_ray.query.wand import _TermCursor, ranked_table, top_k, topk_order
 
 
 class _Segment:
@@ -670,7 +678,18 @@ class QueryAlgebra:
             hit = self._result_cache.get((query, k))
             if hit is not None:
                 return hit
-        node = self._parse_rewritten(query, synonyms)
+        doc_ids, scores = self._rank(
+            self._parse_rewritten(query, synonyms), k, after, range_filter, sort_by
+        )
+        urls = None if self.urls is None else self.urls[np.searchsorted(self.all_docs, doc_ids)]
+        out = ranked_table(doc_ids, scores, urls)
+        if cacheable:
+            self._result_cache.put((query, k), out)
+        return out
+
+    def _rank(self, node: "ast.Node", k: int, after=None, range_filter=None, sort_by=None):
+        """eval → score → the ranking tail (``wand.top_k``): the top-k
+        ``(doc_ids, scores)`` of ``node``."""
         matches = self.eval(node)
         if range_filter is not None:
             # doc-values fast-field filter (Lucene NumericDocValues /
@@ -678,41 +697,15 @@ class QueryAlgebra:
             # column, applied BEFORE scoring so filtered docs cost nothing
             col, lo, hi = range_filter
             matches = matches[self._docvalue_mask(matches, col, lo, hi)]
-        scores = self.score(node, matches)
-        if after is not None:
-            s0, d0 = float(after[0]), np.uint64(after[1])
-            keep = (scores < s0) | ((scores == s0) & (matches > d0))
-            matches, scores = matches[keep], scores[keep]
+        sort = None
         if sort_by is not None:
             # sort-by-field (the Elasticsearch ``sort`` contract): order
-            # matches by a doc-values column instead of relevance; docs
-            # with a null value sort LAST either direction; score is still
-            # computed and returned for display
+            # matches by a doc-values column instead of relevance; score
+            # is still computed and returned for display
             if after is not None:
                 raise ValueError("sort_by and after (score cursor) conflict")
-            col, direction = sort_by
-            key = self.docvalues_for(matches, col)
-            if direction == "desc":
-                key = -key
-            elif direction != "asc":
-                raise ValueError(f"sort_by direction {direction!r}")
-            key = np.where(np.isnan(key), np.inf, key)
-            order = np.lexsort((matches, key))[:k]
-        else:
-            order = topk_order(scores, matches, k)
-        doc_ids = matches[order]
-        cols = {
-            "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
-            "doc_id": pa.array(doc_ids, pa.uint64()),
-            "score": pa.array(scores[order], pa.float64()),
-        }
-        if self.urls is not None:
-            pos = np.searchsorted(self.all_docs, doc_ids)
-            cols["url"] = pa.array(self.urls[pos].tolist(), pa.string())
-        out = pa.table(cols)
-        if cacheable:
-            self._result_cache.put((query, k), out)
-        return out
+            sort = (self.docvalues_for(matches, sort_by[0]), sort_by[1])
+        return top_k(matches, self.score(node, matches), k, after, sort)
 
     def match_count(self, query: str) -> int:
         return int(len(self.eval(self._parse_rewritten(query))))
@@ -761,8 +754,7 @@ class QueryAlgebra:
         the whole union could drop exactly the blocks that hold them.
 
         Tombstoned docs are excluded before ranking."""
-        seen = set()
-        uniq = [t for t in terms if not (t in seen or seen.add(t))]
+        uniq = list(dict.fromkeys(terms))
         if use_wand:
             # canonical (hash) order so accumulation matches score() exactly
             uniq_sorted = sorted(uniq, key=_term_key)
@@ -771,21 +763,8 @@ class QueryAlgebra:
             doc_ids, scores = wand.wand_topk(cursors, k, after=after)
         else:
             node = ast.Or(tuple(ast.Term(t) for t in uniq)) if len(uniq) > 1 else ast.Term(uniq[0])
-            matches = self.eval(node)
-            sc = self.score(node, matches)
-            if after is not None:
-                s0, d0 = float(after[0]), np.uint64(after[1])
-                keep = (sc < s0) | ((sc == s0) & (matches > d0))
-                matches, sc = matches[keep], sc[keep]
-            order = topk_order(sc, matches, k)
-            doc_ids, scores = matches[order], sc[order]
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(doc_ids) + 1, dtype=np.uint32)),
-                "doc_id": pa.array(doc_ids, pa.uint64()),
-                "score": pa.array(scores, pa.float64()),
-            }
-        )
+            doc_ids, scores = self._rank(node, k, after)
+        return ranked_table(doc_ids, scores)
 
     def topk_or_approx(self, terms: list[str], k: int = 10, t: int = 128) -> pa.Table:
         """Approximate disjunctive top-k via CHAMPION LISTS (static index
@@ -800,50 +779,24 @@ class QueryAlgebra:
         × n_terms) after decode, independent of posting-list lengths.
 
         Tombstones are honored (dead docs never become candidates)."""
-        seen = set()
-        uniq = [x for x in terms if not (x in seen or seen.add(x))]
-        # canonical (hash) accumulation order → scores bit-identical to the
-        # exact engine's for every candidate it shares
-        uniq.sort(key=_term_key)
-        decoded = []
+        uniq = list(dict.fromkeys(terms))
         cands = []
         for text in uniq:
             h, g = _term_key(text)
             p = self.postings(h, g)
-            if not p.df:
-                continue
-            contrib = self._impacts(self._df(h, g, p), p)
-            decoded.append((p.doc_ids, contrib))
-            if len(contrib) > t:
+            if len(p.doc_ids) > t:
                 # top-t by contribution, ties broken toward lower doc_id
+                contrib = self._impacts(self._df(h, g, p), p)
                 cands.append(p.doc_ids[topk_order(contrib, p.doc_ids, t)])
             else:
                 cands.append(p.doc_ids)
-        if not cands:
-            return pa.table(
-                {
-                    "rank": pa.array([], pa.uint32()),
-                    "doc_id": pa.array([], pa.uint64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
-        cand = np.unique(np.concatenate(cands))
+        cand = _union(cands)
         if self.tombstones is not None:
             cand = np.setdiff1d(cand, self.tombstones, assume_unique=True)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for doc_ids, contrib in decoded:
-            pos = np.searchsorted(doc_ids, cand)
-            pos_c = np.minimum(pos, len(doc_ids) - 1)
-            hit = doc_ids[pos_c] == cand
-            scores[hit] += contrib[pos_c[hit]]
-        order = topk_order(scores, cand, k)
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
-                "doc_id": pa.array(cand[order], pa.uint64()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
-        )
+        # score() accumulates in the canonical order → scores bit-identical
+        # to the exact engine's for every candidate it shares
+        node = ast.Or(tuple(ast.Term(x) for x in uniq))
+        return ranked_table(*top_k(cand, self.score(node, cand), k))
 
     def qld_topk(self, terms: list[str], k: int = 10, mu: float = 2000.0) -> pa.Table:
         """Query-likelihood ranking with Dirichlet-prior smoothing (Zhai &
@@ -865,46 +818,11 @@ class QueryAlgebra:
         cf/|C| are whole-index statistics: tombstoned docs are excluded
         from the candidates but still count toward the background model
         (exactly how a lazy-delete index behaves until compaction)."""
-        seen = set()
-        uniq = [x for x in terms if not (x in seen or seen.add(x))]
-        total_tokens = float(sum(s.sum_doclen for s in self.segments))
-        plists = [(x, self.term_postings(x)) for x in uniq]
-        plists = [(x, p) for x, p in plists if p.df]
-        if not plists or total_tokens <= 0:
-            return pa.table(
-                {
-                    "rank": pa.array([], pa.uint32()),
-                    "doc_id": pa.array([], pa.uint64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
-        docs = np.unique(np.concatenate([p.doc_ids for _, p in plists]))
+        docs = _union([p.doc_ids for p in map(self.term_postings, terms) if p.df])
         if self.tombstones is not None:
             docs = np.setdiff1d(docs, self.tombstones, assume_unique=True)
-        dl = np.zeros(len(docs), dtype=np.float64)
-        for _, p in plists:
-            pos = np.searchsorted(docs, p.doc_ids)
-            pos_c = np.minimum(pos, len(docs) - 1)
-            hit = docs[pos_c] == p.doc_ids  # tombstoned docs are absent
-            dl[pos_c[hit]] = p.doclen[hit].astype(np.float64)
-        denom = dl + mu
-        scores = np.zeros(len(docs), dtype=np.float64)
-        for _, p in plists:
-            mu_p = (mu * float(p.tf.sum())) / total_tokens
-            tfv = np.zeros(len(docs), dtype=np.float64)
-            pos = np.searchsorted(docs, p.doc_ids)
-            pos_c = np.minimum(pos, len(docs) - 1)
-            hit = docs[pos_c] == p.doc_ids
-            tfv[pos_c[hit]] = p.tf[hit].astype(np.float64)
-            scores += np.log((tfv + mu_p) / denom)
-        order = topk_order(scores, docs, k)
-        return pa.table(
-            {
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.uint32)),
-                "doc_id": pa.array(docs[order], pa.uint64()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
-        )
+        scores = self.qld_scores(terms, docs, mu) if len(docs) else np.zeros(0)
+        return ranked_table(*top_k(docs, scores, k))
 
     def qld_scores(
         self, terms: list[str], docs: np.ndarray, mu: float = 2000.0

@@ -34,7 +34,12 @@ _SPACE = set(" \t\f\v\r\n")
 class ParseError(ValueError):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} (at position {pos})")
-        self.pos = pos
+        self.msg, self.pos = msg, pos
+
+    def __reduce__(self):
+        # rebuilt from (msg, pos), not from the formatted ``args``: a shard
+        # actor's parse error must unpickle at the front that called it
+        return type(self), (self.msg, self.pos)
 
 
 class QueryParser:

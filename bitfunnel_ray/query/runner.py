@@ -8,6 +8,12 @@ ONCE in ``__init__`` (the ConfigureForServing analog,
 src/Index/src/SimpleIndex.cpp:219-270) and then stream query batches.
 Per-query failures become error rows, not job failures (the reference
 swallows per-query exceptions too, QueryRunner.cpp:263-267).
+
+``map_query_log`` is the one query-log mapper of the three serving
+fronts' ``run``: ``run_query_log`` (``QueryActor``, local engine),
+``ShardedServer.run`` (``ShardedQueryActor``, the same actor over the
+term-sharded engine, prefetching each batch's postings) and
+``DocShardedServer.run`` (its batch front).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import pyarrow as pa
 import ray.data
 
 from bitfunnel_ray.query.engine import SearchEngine
-from bitfunnel_ray.query.wand import topk_order
+from bitfunnel_ray.query.wand import top_k
 
 
 def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Table:
@@ -49,8 +55,9 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
     def rows_delta(base):
         return getattr(engine, "stat_postings_rows", 0) - base
 
-    def emit(qid, t0, base, *, n, matches=None, scores=None, order=None,
+    def emit(qid, t0, base, *, docs=(), scores=None, n_matches=0,
              err="", phases=(0.0, 0.0, 0.0), pparse=0.0):
+        n = len(docs)
         m = max(n, 1)
         out_qid.append(np.full(m, qid, dtype=np.uint32))
         if n == 0:
@@ -63,9 +70,9 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
             )
         else:
             out_rank.append(np.arange(1, n + 1, dtype=np.uint32))
-            out_doc.append(matches[order])
-            out_score.append(scores[order])
-            out_matches.append(np.full(n, len(matches), dtype=np.int64))
+            out_doc.append(docs)
+            out_score.append(scores)
+            out_matches.append(np.full(n, n_matches, dtype=np.int64))
         out_lat.append(np.full(m, time.perf_counter() - t0, dtype=np.float64))
         out_rows.append(np.full(m, rows_delta(base), dtype=np.int64))
         out_err.append([err] * m)
@@ -77,7 +84,7 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
         t0 = time.perf_counter()
         base = getattr(engine, "stat_postings_rows", 0)
         if node is None:
-            emit(qid, t0, base, n=0, err=perr or "ParseError", pparse=pparse)
+            emit(qid, t0, base, err=perr or "ParseError", pparse=pparse)
             continue
         try:
             # PLAN: resolve every term the evaluation will touch (decode /
@@ -90,16 +97,15 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
             base = getattr(engine, "stat_postings_rows", 0)
             matches = engine.eval(node)
             t2 = time.perf_counter()
-            scores = engine.score(node, matches)
-            order = topk_order(scores, matches, k)
+            docs, scores = top_k(matches, engine.score(node, matches), k)
             t3 = time.perf_counter()
             emit(
                 qid, t0, base,
-                n=len(order), matches=matches, scores=scores, order=order,
+                docs=docs, scores=scores, n_matches=len(matches),
                 phases=(t1 - t0, t2 - t1, t3 - t2), pparse=pparse,
             )
         except Exception as e:  # per-query error row
-            emit(qid, t0, base, n=0, err=f"{type(e).__name__}: {e}", pparse=pparse)
+            emit(qid, t0, base, err=f"{type(e).__name__}: {e}", pparse=pparse)
     return pa.table(
         {
             "query_id": pa.array(np.concatenate(out_qid), pa.uint32()),
@@ -119,6 +125,9 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
 
 
 class QueryActor:
+    """map_batches front over a local ``SearchEngine``: parse the batch's
+    queries, ``prefetch`` their postings, then ``eval_queries``."""
+
     def __init__(self, index_dirs, k: int = 10, load_urls: bool = False):
         self.engine = SearchEngine(index_dirs, load_urls=load_urls)
         self.k = k
@@ -135,19 +144,40 @@ class QueryActor:
                 nodes.append(None)
                 parse_errs.append(f"{type(e).__name__}: {e}")
             parse_s.append(time.perf_counter() - t0)
+        self.prefetch([n for n in nodes if n is not None])
         return eval_queries(self.engine, qids, nodes, parse_errs, self.k, parse_s)
 
+    def prefetch(self, nodes: list) -> None:
+        """Resolve the batch's postings before evaluation.  The local
+        engine decodes each term in ``eval_queries``' plan phase."""
 
-def table_to_blocks(table: pa.Table, batch_size: int, concurrency: int):
-    """One Arrow table → a Dataset of ~batch_size blocks, sliced
-    driver-side (zero-copy, no cluster tasks).  Ray Data dispatches actor
-    tasks at BLOCK granularity, so a single-block log would serialize
-    through one pool actor; a repartition() stage instead can deadlock
-    against the actor pool's CPU reservation on small clusters."""
-    n = len(table)
-    step = max(1, min(batch_size, (n + 2 * concurrency - 1) // (2 * concurrency)))
-    return ray.data.from_arrow(
-        [table.slice(i, step) for i in range(0, n, step)] or [table]
+
+def map_query_log(
+    queries: "ray.data.Dataset | pa.Table",
+    front,
+    front_kwargs: dict,
+    concurrency: int,
+    batch_size: int,
+    num_cpus: "float | None" = None,
+) -> "ray.data.Dataset":
+    """A query log through a pool of ``concurrency`` ``front`` actors
+    (``map_batches``).  An Arrow table is first sliced driver-side into
+    ~batch_size blocks (zero-copy, no cluster tasks): Ray Data dispatches
+    actor tasks at BLOCK granularity, so a single-block log would
+    serialize through one pool actor, and a repartition() stage instead
+    can deadlock against the actor pool's CPU reservation on small
+    clusters."""
+    if isinstance(queries, pa.Table):
+        n = len(queries)
+        step = max(1, min(batch_size, (n + 2 * concurrency - 1) // (2 * concurrency)))
+        queries = ray.data.from_arrow([queries.slice(i, step) for i in range(0, n, step)] or [queries])
+    return queries.map_batches(
+        front,
+        fn_constructor_kwargs=front_kwargs,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+        num_cpus=num_cpus,
     )
 
 
@@ -159,15 +189,8 @@ def run_query_log(
     batch_size: int = 64,
 ) -> "ray.data.Dataset":
     """Serve a query log through an actor pool → result Dataset."""
-    if isinstance(queries, pa.Table):
-        queries = table_to_blocks(queries, batch_size, concurrency)
-    return queries.map_batches(
-        QueryActor,
-        fn_constructor_kwargs={"k": k, "index_dirs": index_dirs},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    kwargs = {"k": k, "index_dirs": index_dirs}
+    return map_query_log(queries, QueryActor, kwargs, concurrency, batch_size)
 
 
 def summarize(results: "ray.data.Dataset") -> dict:

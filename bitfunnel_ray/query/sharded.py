@@ -23,10 +23,11 @@ partitions the dictionary — by term-hash bucket:
   LOCAL doc-id slice (the DocumentActive-row analog,
   src/Index/src/Ingestor.cpp:302-327) — no global doc-id array exists
   anywhere.
-- ``ShardedServer`` wires it into Ray Data: front-end actors run in
-  ``map_batches(concurrency=N)``; each batch prefetches all uncached
-  terms with ONE ``postings_many`` RPC per shard touched, then serves the
-  batch from front-local cache.
+- ``ShardedServer`` wires it into Ray Data through the runner's
+  query-log mapper: ``ShardedQueryActor`` is the runner's
+  ``QueryActor`` over a ``ShardedSearchEngine`` whose ``prefetch``
+  fetches the batch's uncached terms with ONE ``postings_many`` RPC per
+  shard touched, then serves the batch from front-local cache.
 
 Raw ``@ray.remote`` actors are justified here (not expressible as a
 Dataset op): the index is long-lived partitioned read-only state queried
@@ -51,6 +52,7 @@ from bitfunnel_ray.query.engine import (
     _Segment,
     merge_chunks,
 )
+from bitfunnel_ray.query.runner import QueryActor, map_query_log
 from bitfunnel_ray.query.vocab import Vocab, gather
 
 
@@ -512,46 +514,17 @@ class ShardedSearchEngine(QueryAlgebra):
         return super().correct_candidates(token, max_dist) if got is None else got
 
 
-class ShardedQueryActor:
-    """map_batches front-end: same output contract as
-    ``runner.QueryActor`` but backed by a ShardedSearchEngine.  Per batch,
-    all queries' terms are prefetched with one RPC per shard before any
-    evaluation."""
+class ShardedQueryActor(QueryActor):
+    """``runner.QueryActor`` backed by a ShardedSearchEngine."""
 
     def __init__(self, index_dirs, shard_handles, k: int = 10):
         self.engine = ShardedSearchEngine(index_dirs, shard_handles)
         self.k = k
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-
-        from bitfunnel_ray.query.parser import parse_query
-        from bitfunnel_ray.query.runner import eval_queries
-
-        nodes, parse_errs, parse_s = [], [], []
-        pairs = []
-        for q in batch["query"].to_pylist():
-            t0 = _time.perf_counter()
-            try:
-                node = self.engine._parse_rewritten(q)
-                nodes.append(node)
-                parse_errs.append(None)
-                pairs.extend(self.engine.query_pairs(node))
-            except Exception as e:
-                nodes.append(None)
-                parse_errs.append(f"{type(e).__name__}: {e}")
-            parse_s.append(_time.perf_counter() - t0)
+    def prefetch(self, nodes: list) -> None:
         # batch-level prefetch: ONE RPC per shard touched; the per-query
         # plan phase then assembles from the warm front cache
-        self.engine.prefetch(pairs)
-        return eval_queries(
-            self.engine,
-            batch["query_id"].to_numpy(zero_copy_only=False),
-            nodes,
-            parse_errs,
-            self.k,
-            parse_s,
-        )
+        self.engine.prefetch([p for n in nodes for p in self.engine.query_pairs(n)])
 
 
 class ShardedServer:
@@ -626,23 +599,9 @@ class ShardedServer:
         fronts coexist with shard actors on small sessions (a front pool
         that demands whole CPUs a fully-reserved session cannot grant
         never starts, and run() waits forever)."""
-        import ray.data
-
-        if isinstance(queries, pa.Table):
-            from bitfunnel_ray.query.runner import table_to_blocks
-
-            queries = table_to_blocks(queries, batch_size, concurrency)
-        return queries.map_batches(
-            ShardedQueryActor,
-            fn_constructor_kwargs={
-                "index_dirs": self.index_dirs,
-                "shard_handles": self.handle_groups,
-                "k": k,
-            },
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=num_cpus_per_front,
+        kwargs = {"index_dirs": self.index_dirs, "shard_handles": self.handle_groups, "k": k}
+        return map_query_log(
+            queries, ShardedQueryActor, kwargs, concurrency, batch_size, num_cpus_per_front
         )
 
     def shutdown(self) -> None:

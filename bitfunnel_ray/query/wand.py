@@ -18,16 +18,24 @@ no per-document loop (the threshold pruning of SAP, ICDE 2018):
 3. accumulate: ``np.bincount`` over the kept postings in cursor order
    adds from 0.0 in input order, the exhaustive scorer's float adds when
    callers pass the canonical (gram, hash) order: bit-identical scores.
-4. select: ``topk_order`` (score desc, doc_id asc).
+4. select: ``top_k``, the ranking tail.
 
 Block bounds idf*(k1+1)*max_tfn are ≥ every in-block contribution
 (max_tfn is the same float64 tfn the scorer computes; cross-segment avgdl
 drift is compensated by a monotone inflation factor).
+
+The ranking tail is shared by every ranked answer of the serving layer
+(the local engine's ``search``, ``topk_or``, champion lists and QLD, the
+query-log runner, the doc-sharded merges): ``top_k`` applies the
+search-after cursor and selects in (score desc, doc_id asc) or in the
+sort-by-field order, through ``topk_order``; ``ranked_table`` builds the
+(rank, doc_id, score) result.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 # prune-test slack, relative to the sum of all bounds: covers the float
 # rounding of the bound sums and of the scorer's own sums
@@ -47,6 +55,50 @@ def topk_order(scores: np.ndarray, doc_ids: np.ndarray, k: int) -> np.ndarray:
         cand = np.flatnonzero(~(neg > kth))
         return cand[np.lexsort((doc_ids[cand], neg[cand]))[:k]]
     return np.lexsort((doc_ids, neg))
+
+
+def top_k(
+    doc_ids: np.ndarray,
+    scores: np.ndarray,
+    k: int,
+    after: "tuple[float, int] | None" = None,
+    sort: "tuple[np.ndarray, str] | None" = None,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The top ``k`` rows as ``(doc_ids, scores)`` in rank order.
+
+    ``after=(score, doc_id)`` is a search-after cursor: only rows strictly
+    later in (score desc, doc_id asc) are eligible.  Cursors are copied
+    from an engine's own output, so the float comparison is exact.
+
+    ``sort=(keys, direction)`` ranks by the raw doc values ``keys`` (NaN
+    = null) instead of by score: ``direction`` "asc" or "desc", nulls
+    last either way, ties doc_id asc; scores ride along for display."""
+    if after is not None:
+        s0, d0 = float(after[0]), np.uint64(after[1])
+        keep = (scores < s0) | ((scores == s0) & (doc_ids > d0))
+        doc_ids, scores = doc_ids[keep], scores[keep]
+    if sort is None:
+        order = topk_order(scores, doc_ids, k)
+    else:
+        keys, direction = sort
+        if direction not in ("asc", "desc"):
+            raise ValueError(f"sort_by direction {direction!r}")
+        keys = -keys if direction == "desc" else keys
+        order = np.lexsort((doc_ids, np.where(np.isnan(keys), np.inf, keys)))[:k]
+    return doc_ids[order], scores[order]
+
+
+def ranked_table(doc_ids: np.ndarray, scores: np.ndarray, urls=None) -> pa.Table:
+    """The result table of ranked rows: (rank from 1 uint32, doc_id
+    uint64, score float64), plus ``url`` when ``urls`` is given."""
+    cols = {
+        "rank": pa.array(np.arange(1, len(doc_ids) + 1, dtype=np.uint32)),
+        "doc_id": pa.array(doc_ids, pa.uint64()),
+        "score": pa.array(scores, pa.float64()),
+    }
+    if urls is not None:
+        cols["url"] = pa.array(urls.tolist(), pa.string())
+    return pa.table(cols)
 
 
 class _TermCursor:
@@ -96,9 +148,4 @@ def wand_topk(
         contrib.append(w)
     docs, inv = np.unique(np.concatenate(ids), return_inverse=True)
     scores = np.bincount(inv, weights=np.concatenate(contrib), minlength=len(docs))
-    if after is not None:
-        s0, d0 = float(after[0]), np.uint64(after[1])
-        keep = (scores < s0) | ((scores == s0) & (docs > d0))
-        docs, scores = docs[keep], scores[keep]
-    order = topk_order(scores, docs, k)
-    return docs[order], scores[order]
+    return top_k(docs, scores, k, after)

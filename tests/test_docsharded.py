@@ -296,3 +296,69 @@ def test_boost_below_one_scales_every_front(waved):
     finally:
         term_srv.shutdown()
         doc_srv.shutdown()
+
+
+def test_malformed_query_raises_parse_error(waved):
+    """A query the shards cannot parse raises ParseError at the front, as
+    the local engine does."""
+    from bitfunnel_ray.query.parser import ParseError
+
+    srv = DocShardedServer(waved, n_shards=2, num_cpus_per_shard=0.25)
+    try:
+        with pytest.raises(ParseError):
+            srv.search("spark AND (", k=5)
+    finally:
+        srv.shutdown()
+
+
+def test_malformed_query_log_raises_parse_error(waved):
+    """``run`` over a log with one malformed query fails with the shards'
+    ParseError (named with its message in the error Ray Data raises)
+    instead of hanging.  Runs in its own process (own Ray
+    session) under a timeout, so a hang fails the test."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(
+        f"""
+        import pyarrow as pa
+        import ray
+        import ray.data as rd
+
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from bitfunnel_ray.query.docsharded import DocShardedServer
+
+        srv = DocShardedServer({waved!r}, n_shards=2, num_cpus_per_shard=0.25)
+        log = pa.table({{"query_id": pa.array([0, 1], pa.int64()),
+                        "query": pa.array(["spark join", "spark AND ("])}})
+        try:
+            srv.run(log, k=5, concurrency=1, num_cpus_per_front=0.5).materialize()
+            print("NO ERROR")
+        except Exception as e:
+            # Ray Data re-raises a batch's failure as a UserCodeException
+            # that carries the cause as text only
+            msg = str(e)
+            print("PARSE_ERROR" if "ParseError: Expected token (at position 11)" in msg
+                  else "OTHER " + msg[-1500:].replace("\\n", " "))
+        srv.shutdown()
+        ray.shutdown()
+        """
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
+    # own process group: a hung run is killed with the Ray daemons it started
+    p = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env,
+                         start_new_session=True)
+    try:
+        out, err = p.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        raise AssertionError("run() over a malformed query log did not finish in 240 s")
+    assert out.strip().splitlines()[-1:] == ["PARSE_ERROR"], (out[-2000:], err[-3000:])

@@ -35,6 +35,18 @@ def test_phrase():
         parse_query('"alpha beta')  # unterminated
 
 
+def test_parse_error_survives_pickling():
+    """A shard actor's ParseError reaches the front pickled: it must come
+    back as a ParseError with the same position and message."""
+    import pickle
+
+    with pytest.raises(ParseError) as ei:
+        parse_query("spark AND (")
+    back = pickle.loads(pickle.dumps(ei.value))
+    assert type(back) is ParseError
+    assert (back.pos, str(back)) == (ei.value.pos, str(ei.value))
+
+
 def test_stream_prefix():
     assert parse_query("body:cat") == Term("cat", 0)
     assert parse_query('body:"a b"') == Phrase(("a", "b"), 0)
