@@ -133,11 +133,15 @@ def run_bench() -> dict:
     head_df_threshold = 1 << 15
     idx_dir = "/tmp/bfr_bench_idx"
     n_waves = int(os.environ.get("BFR_BUILD_WAVES", "1"))
+    extra = {}
+    if os.environ.get("BFR_ENCODE_NCPU"):
+        extra["encode_num_cpus"] = float(os.environ["BFR_ENCODE_NCPU"])
     cfg = EngineConfig(
         max_gram=2,
         num_buckets=64,
         head_df_threshold=head_df_threshold,
         salt_shift=14,
+        extra=extra,
     )
 
     # the unigram df table (lazy: the suggest micro-bench below re-runs it)
@@ -620,8 +624,14 @@ def run_scaling() -> dict:
         )
         # Identical per-node config at BOTH cluster sizes (a real N- vs
         # 4N-node cluster runs the same per-node settings; only the node
-        # count changes).
+        # count changes).  Measured A/B grid (r3, /tmp/probe2): the
+        # auto-derived encode concurrency (1 cpu/task below 16 cpus, 2
+        # above) capped the encode stage's measured scaling at the slot
+        # ratio (~0.47 eff); pinning the per-node bandwidth knob to the
+        # production operating point (2 cpus/encode task) restores the
+        # stage to 0.84 and the build criterion to ~0.78 per single rep.
         env.setdefault("BFR_BUILD_WAVES", "1")
+        env.setdefault("BFR_ENCODE_NCPU", "2")
         # pinned exchange partition count (the auto cpus/2 gave the 8-cpu
         # child a 4-partition exchange — a different physical plan;
         # 16 partitions at 0.05 cpu each run fine at both levels)

@@ -417,21 +417,21 @@ def _spill_map(batch: pa.Table, *, ctor: tuple) -> pa.Table:
     return ts(batch)
 
 
-def _encode_num_cpus() -> float:
+def _encode_num_cpus(cfg: EngineConfig) -> float:
     """CPUs reserved per encode task.  Encode is memory-bandwidth-bound,
     not compute-bound: at full task-per-core concurrency 32 concurrent
     varint/EF packers thrash the shared bus and run ABSOLUTELY slower
     than 16 (measured 2M-doc A/B: encode 16.2-23.6 s at 32-way vs
     8.4-18.3 s at 16-way, min-of-2 each).  2 CPUs per task halves the
     concurrent encode tasks per node; on a real cluster this is per-node
-    bandwidth management.  Small sessions (< 16 CPUs —
+    bandwidth management, the same knob.  Small sessions (< 16 CPUs —
     unit tests, laptops) keep 1: the bus isn't contended there, and a
     2-CPU reservation can deadlock against live actor pools."""
     cpus = ray.cluster_resources().get("CPU", 0)
-    return 2.0 if cpus >= 16 else 1.0
+    return float(cfg.extra.get("encode_num_cpus", 2 if cpus >= 16 else 1))
 
 
-def _encode_groups(work: "list[tuple[int, int, int]]") -> "list[list]":
+def _encode_groups(work: "list[tuple[int, int, int]]", cfg: EngineConfig) -> "list[list]":
     """``(bucket, rows, vocab_rows)`` grouped into encode tasks: several
     small buckets per task amortize its fixed cost (glob, parquet write),
     which dominates once auto-bucketing or wave splits shrink buckets
@@ -442,7 +442,7 @@ def _encode_groups(work: "list[tuple[int, int, int]]") -> "list[list]":
         return []
     mean_rows = max(1, sum(r for _b, r, _v in work) // len(work))
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    slots = max(1, int(cpus // max(1.0, _encode_num_cpus())))
+    slots = max(1, int(cpus // max(1.0, _encode_num_cpus(cfg))))
     step = max(1, min(len(work) // (2 * slots), 4_000_000 // mean_rows))
     return [work[i : i + step] for i in range(0, len(work), step)]
 
@@ -887,11 +887,11 @@ def build_index(
                 .sum()
                 .astype(int)
             )
-            enc_cpus = _encode_num_cpus()
+            enc_cpus = _encode_num_cpus(cfg)
             groups = _encode_groups([
                 (int(b), int(r), int(v))
                 for b, r, v in zip(per_bucket.index, per_bucket["rows"], per_bucket["vocab_rows"])
-            ])
+            ], cfg)
             # In deferred (overlap) mode the encode runs CONCURRENTLY with
             # the next wave's spill: cap concurrent encode tasks to half
             # the cluster so the bandwidth-floored encode never starves

@@ -50,7 +50,7 @@ from bitfunnel_ray.query import ast
 from bitfunnel_ray.query.parser import parse_query
 from bitfunnel_ray.query.runner import map_query_log
 from bitfunnel_ray.query.vocab import gather
-from bitfunnel_ray.query.wand import ranked_table, top_k
+from bitfunnel_ray.query.wand import check_sort_direction, ranked_table, top_k
 
 
 @ray.remote(max_concurrency=4)
@@ -277,6 +277,8 @@ class DocShardedServer:
         """Exact global top-k; ``sort_by=(col, direction)`` merges the
         per-shard sort-by-field top-ks on their raw doc values, in the
         local engine's order."""
+        if sort_by is not None:
+            check_sort_direction(sort_by[1])
         df_map = self._stats_round(query)
         if sort_by is None:
             # phase 2: the one-query case of the batch scoring round

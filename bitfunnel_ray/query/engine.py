@@ -55,7 +55,13 @@ from bitfunnel_ray.functions.hashing import FACT_STREAM_ID, fact_term_hash, murm
 from bitfunnel_ray.query import ast, wand
 from bitfunnel_ray.query.parser import parse_query
 from bitfunnel_ray.query.vocab import Vocab
-from bitfunnel_ray.query.wand import _TermCursor, ranked_table, top_k, topk_order
+from bitfunnel_ray.query.wand import (
+    _TermCursor,
+    check_sort_direction,
+    ranked_table,
+    top_k,
+    topk_order,
+)
 
 
 class _Segment:
@@ -704,7 +710,8 @@ class QueryAlgebra:
             # is still computed and returned for display
             if after is not None:
                 raise ValueError("sort_by and after (score cursor) conflict")
-            sort = (self.docvalues_for(matches, sort_by[0]), sort_by[1])
+            direction = check_sort_direction(sort_by[1])
+            sort = (self.docvalues_for(matches, sort_by[0]), direction)
         return top_k(matches, self.score(node, matches), k, after, sort)
 
     def match_count(self, query: str) -> int:

@@ -57,6 +57,14 @@ def topk_order(scores: np.ndarray, doc_ids: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((doc_ids, neg))
 
 
+def check_sort_direction(direction: str) -> str:
+    """``direction`` if it is "asc" or "desc", else ``ValueError``;
+    fronts check it before any shard round trip."""
+    if direction not in ("asc", "desc"):
+        raise ValueError(f"sort_by direction {direction!r}")
+    return direction
+
+
 def top_k(
     doc_ids: np.ndarray,
     scores: np.ndarray,
@@ -81,9 +89,7 @@ def top_k(
         order = topk_order(scores, doc_ids, k)
     else:
         keys, direction = sort
-        if direction not in ("asc", "desc"):
-            raise ValueError(f"sort_by direction {direction!r}")
-        keys = -keys if direction == "desc" else keys
+        keys = -keys if check_sort_direction(direction) == "desc" else keys
         order = np.lexsort((doc_ids, np.where(np.isnan(keys), np.inf, keys)))[:k]
     return doc_ids[order], scores[order]
 

@@ -323,7 +323,7 @@ def test_deferred_encode_caps_tasks_in_flight(tmp_path, monkeypatch, sf_tiny):
     assert part["deferred"] and caps == []
     assert part["finish"]()["complete"]
     build_index(corpus, str(tmp_path / "plain"), cfg)
-    enc_cpus = builder._encode_num_cpus()
+    enc_cpus = builder._encode_num_cpus(cfg)
     assert caps == [max(1, int(ray.cluster_resources()["CPU"] // (2 * enc_cpus))), None]
 
 def test_docvalues_fast_field(built):

@@ -203,6 +203,27 @@ def test_docsharded_sort_by_field_parity(lifted_pair):
         srv.shutdown()
 
 
+def test_bad_sort_direction_raises_before_any_shard_round(lifted_pair):
+    """A sort direction other than asc/desc is a plain ValueError at the
+    doc-sharded front, raised before the statistics round, and the local
+    engine names the direction even when the column is unknown too."""
+    local = SearchEngine(lifted_pair, load_urls=False)
+    with pytest.raises(ValueError, match="sort_by direction 'up'"):
+        local.search("spark", k=5, sort_by=("no_such_column", "up"))
+    srv = DocShardedServer(lifted_pair, n_shards=2, num_cpus_per_shard=0.25)
+    try:
+
+        def no_round(query):
+            raise AssertionError("statistics round ran before the direction check")
+
+        srv._stats_round = no_round
+        with pytest.raises(ValueError, match="sort_by direction 'up'") as e:
+            srv.search("spark", k=5, sort_by=("warc_ts_s", "up"))
+        assert type(e.value) is ValueError
+    finally:
+        srv.shutdown()
+
+
 def test_docsharded_aggs_parity(lifted_pair):
     """date_histogram / field_stats / field_percentiles merged from
     per-shard partials must equal the local aggregation exactly (integer
@@ -315,7 +336,9 @@ def test_malformed_query_log_raises_parse_error(waved):
     """``run`` over a log with one malformed query fails with the shards'
     ParseError (named with its message in the error Ray Data raises)
     instead of hanging.  Runs in its own process (own Ray
-    session) under a timeout, so a hang fails the test."""
+    session) under a timeout, so a hang fails the test.  The local and
+    term-sharded fronts return a per-query error row instead; once this
+    front does too (ROADMAP aim 2), assert that row here."""
     import os
     import signal
     import subprocess
