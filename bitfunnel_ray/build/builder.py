@@ -11,7 +11,9 @@ pieces from the parquet footers (``_file_plan``: whole files, or
 row-group ranges of a larger file — the reference's one ingest task per
 chunk file), and both corpus passes are ``ops.exchange.fan_out`` waves
 over them; any other Dataset is mapped by Ray Data through the same
-task bodies (``_corpus_map``):
+task bodies (``_corpus_map``).  A piece holds at most one spill batch
+(``_spill_batch_docs``) and at most half the corpus, so even a segment
+smaller than one batch spills in two tasks:
 
 1. head-term pass  — optional df scan to find terms with df >
                      ``head_df_threshold``; their postings are salted by
@@ -19,13 +21,15 @@ task bodies (``_corpus_map``):
                      (the skew analog of the reference giving hot terms
                      private rows, TermTableBuilder.cpp:268-287).  Skipped
                      when n_docs <= threshold (no term can qualify).
-2. fused spill pass — ONE corpus read: tokenize → posting rows
+2. fused spill pass — ONE corpus read: tokenize (dictionary-coded
+                     dedup, ``stages/tokenize``) → posting rows
                      (fixed-width numerics only; term text never enters
                      the spill) → per-bucket Arrow-IPC spill shards, plus
                      the ``docmeta/`` sidecar shards and the
                      (n_docs, sum_doclen) totals partials in the ack rows.
                      With the vocab sidecar, each batch's unigram
-                     (term, df) partial is spilled by stripe next to the
+                     (term, df) partial, counted over the batch's
+                     dictionary codes, is spilled by stripe next to the
                      postings.
 3. encode wave     — one plain Ray task per group of buckets
                      (``ops.exchange.fan_out``: the bucket ids are known
@@ -119,9 +123,9 @@ class TokenizePostings:
         else:
             self.head_hashes = np.empty(0, dtype=np.uint64)
 
-    def _stream_postings(self, batch: pa.Table, column: str, stream_id: int, keep_pos=False):
+    def _stream_postings(self, batch: pa.Table, column: str, stream_id: int):
         cfg = self.cfg
-        r = tokenize_batch(batch[column], cfg.max_gram, emit_text=False, keep_pos=keep_pos)
+        r = tokenize_batch(batch[column], cfg.max_gram, emit_text=False)
         # stream identity folds into the stored hash (ComputeGeneralHash
         # parity: hash + streamId, wrapping — Term.cpp:328-333)
         hashes = r.term_hash + np.uint64(stream_id)
@@ -144,12 +148,11 @@ class TokenizePostings:
             if col not in batch.column_names:
                 continue
             is_body = col == "text" or not parts
-            want_stats = self.vocab and is_body
-            part = self._stream_postings(batch, col, sid, keep_pos=want_stats)
+            part = self._stream_postings(batch, col, sid)
             parts.append(part)
             if is_body:
                 body_doclen = np.asarray(part[5], dtype=np.int64)
-            if want_stats:
+            if self.vocab and is_body:
                 stats_tbl = partial_term_stats(part[6], emit_text=True, max_gram=1)
         # facts (IFactSet analog): one synthetic posting per (fact, doc)
         # where the boolean column holds — vectorized mask, tf=1, doclen =
@@ -527,23 +530,44 @@ def _spill_batch_docs(num_buckets: int) -> int:
     spill and encode go file-metadata-bound (measured 4M-doc A/B:
     16384-doc batches beat 4096 in 4/4 interleaved runs, best 134k vs
     91k docs/s).  Deterministic in the config, so resume and both
-    scaling-run CPU levels see identical work."""
+    scaling-run CPU levels see identical work.
+
+    A parquet plan (``_file_plan``) further caps a piece at ⌈n/2⌉ of a
+    corpus of n rows, so a corpus below two batches still spills in
+    ``MIN_PIECES`` tasks; the cap depends on the corpus only, never on
+    the CPU count, for the same reason."""
     return min(65536, max(8192, 4096 * (num_buckets // 64)))
+
+
+# A parquet plan splits a corpus into at least this many pieces (while it
+# has that many rows): one small segment's spill then runs on two CPUs
+# instead of one.  A constant, not the CPU count, so every run of the same
+# corpus plans the same pieces.
+MIN_PIECES = 2
 
 
 def _file_plan(paths: "list[str]", batch_rows: int, fs=None) -> tuple:
     """``(filesystem, pieces)`` over parquet ``paths``, planned from their
     footers in path order.  A piece is a tuple of ``(path, lo, hi)`` row
-    ranges holding at most ``batch_rows`` rows: consecutive whole files,
-    or one row-group range of a larger file (a row group longer than the
-    batch is cut too).  Zero-row files are dropped."""
+    ranges holding at most ``min(batch_rows, ⌈n / MIN_PIECES⌉)`` rows
+    for n rows over all files: consecutive whole files, or one row-group
+    range of a larger file (a row group longer than that is cut too).
+    Zero-row files are dropped.
+
+    The ⌈n/2⌉ cap only binds below 2 × ``batch_rows`` rows; there it
+    splits a small segment's spill (and head scan) over two tasks.  It
+    reads the corpus size, never the CPU count: a resumed build and both
+    CPU levels of a scaling run must plan the same pieces, because the
+    spill-shard and docmeta file names follow the pieces."""
     if fs is None:
         from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
         paths, fs = _resolve_paths_and_filesystem(paths)
+    footers = [(path, pq.read_metadata(path, filesystem=fs)) for path in sorted(paths)]
+    total = sum(md.num_rows for _p, md in footers)
+    batch_rows = min(batch_rows, -(-total // MIN_PIECES))
     pieces, room = [], 0  # room: rows the last piece of whole files can take
-    for path in sorted(paths):
-        md = pq.read_metadata(path, filesystem=fs)
+    for path, md in footers:
         n = md.num_rows
         if n > batch_rows:  # ranges closed at a row-group end, or cut
             start = lo = room = 0

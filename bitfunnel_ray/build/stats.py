@@ -23,58 +23,61 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from bitfunnel_ray.config import EngineConfig
-from bitfunnel_ray.stages.tokenize import tokenize_batch
+from bitfunnel_ray.stages.tokenize import reconstruct_terms, tokenize_batch
 
 
 def partial_term_stats(r, emit_text: bool = True, max_gram: int | None = None) -> pa.Table:
     """Per-batch combiner over a TokenizeResult: one row per batch-unique
-    (term_hash, gram) with partial df (unique-doc count — postings are
-    already unique per (row, term)) and partial cf (tf sum).
+    (term_hash, gram) in (term_hash, gram) order, with partial df
+    (unique-doc count — postings are already unique per (row, term)) and
+    partial cf (tf sum).
 
-    Term text is reconstructed lazily for the ≤ vocab-sized unique rows
-    when the result carries positions (``keep_pos=True``), else taken from
-    ``r.term``.  ``max_gram`` restricts the partial to gram sizes ≤ n (the
-    build pass tokenizes at the BUILD max_gram but the vocab sidecar holds
-    unigrams only)."""
-    h, g, tf, pos = r.term_hash, r.gram_size, r.tf, r.pos
-    if max_gram is not None and len(g) and int(g.max()) > max_gram:
-        m = g <= max_gram
-        h, g, tf = h[m], g[m], tf[m]
-        pos = pos[m] if pos is not None else None
-    if len(h) == 0:
-        cols = {
-            "term_hash": pa.array([], pa.int64()),
-            "gram_size": pa.array([], pa.uint8()),
-            "df_part": pa.array([], pa.int64()),
-            "cf_part": pa.array([], pa.int64()),
-        }
+    Unigrams are counted by ``np.bincount`` over the batch's dictionary
+    codes, and their text is the dictionary's (``r.vocab_text``).  N-gram
+    rows need a (hash, gram) sort; their text comes from ``r.term`` or,
+    when the result carries positions (``keep_pos=True``), is
+    reconstructed for the ≤ vocab-sized unique rows.  ``max_gram``
+    restricts the partial to gram sizes ≤ n (the build pass tokenizes at
+    the BUILD max_gram but the vocab sidecar holds unigrams only)."""
+    g = r.gram_size
+    uni = g == 1
+    df = np.bincount(r.code[uni], minlength=len(r.vocab_hash))
+    cf = np.bincount(r.code[uni], weights=r.tf[uni], minlength=len(r.vocab_hash))
+    present = np.flatnonzero(df)
+    h, gs = r.vocab_hash[present], np.ones(len(present), np.uint8)
+    df, cf = df[present].astype(np.int64), cf[present].astype(np.int64)
+    texts = r.vocab_text.take(pa.array(present)).cast(pa.string()) if emit_text else None
+    ng = np.flatnonzero(~uni if max_gram is None else (~uni & (g <= max_gram)))
+    if len(ng):  # n-grams by sort, then merged into (hash, gram) order
+        order = ng[np.lexsort((g[ng], r.term_hash[ng]))]
+        hs, gn = r.term_hash[order], g[order]
+        b = np.empty(len(hs), dtype=bool)
+        b[0] = True
+        b[1:] = (hs[1:] != hs[:-1]) | (gn[1:] != gn[:-1])
+        starts = np.flatnonzero(b)
+        h, gs = np.concatenate([h, hs[starts]]), np.concatenate([gs, gn[starts]])
+        df = np.concatenate([df, np.diff(np.append(starts, len(hs)))])
+        cf = np.concatenate([cf, np.add.reduceat(r.tf[order].astype(np.int64), starts)])
         if emit_text:
-            cols["term"] = pa.array([], pa.string())
-        return pa.table(cols)
-    order = np.lexsort((g, h))
-    hs, gs, tfs = h[order], g[order], tf[order]
-    b = np.empty(len(hs), dtype=bool)
-    b[0] = True
-    b[1:] = (hs[1:] != hs[:-1]) | (gs[1:] != gs[:-1])
-    starts = np.flatnonzero(b)
-    counts = np.diff(np.append(starts, len(hs)))
-    cf = np.add.reduceat(tfs.astype(np.int64), starts)
+            first = order[starts]
+            if r.term is not None:
+                more = r.term[first]
+            else:
+                more = reconstruct_terms(r.tokens, r.pos[first], g[first])
+            texts = pa.concat_arrays([texts, pa.array(more.tolist(), pa.string())])
+        merged = np.lexsort((gs, h))
+        h, gs, df, cf = h[merged], gs[merged], df[merged], cf[merged]
+        texts = texts.take(pa.array(merged)) if emit_text else None
     cols = {
         # int64 bit-view of the uint64 hash: Ray's shuffle/aggregate ops
         # fall back to pickled python objects on uint64 columns
-        "term_hash": pa.array(hs[starts].view(np.int64), pa.int64()),
-        "gram_size": pa.array(gs[starts], pa.uint8()),
-        "df_part": pa.array(counts.astype(np.int64)),
-        "cf_part": pa.array(cf),
+        "term_hash": pa.array(h.view(np.int64), pa.int64()),
+        "gram_size": pa.array(gs, pa.uint8()),
+        "df_part": pa.array(df, pa.int64()),
+        "cf_part": pa.array(cf, pa.int64()),
     }
     if emit_text:
-        if r.term is not None:
-            texts = r.term[order][starts]
-        else:
-            from bitfunnel_ray.stages.tokenize import reconstruct_terms
-
-            texts = reconstruct_terms(r.tokens, pos[order][starts], gs[starts])
-        cols["term"] = pa.array(texts.tolist(), pa.string())
+        cols["term"] = texts
     return pa.table(cols)
 
 

@@ -10,9 +10,11 @@ AddTerm at Term.cpp:141-152).  We reproduce both exactly so term identities
 against the reference fixture-for-fixture.
 
 Hashing strategy for the hot path: batches carry millions of tokens but a
-small unique vocabulary, so we hash only ``np.unique`` values (scalar python
-murmur with a per-process memo) and scatter back via the inverse index;
-n-gram combination is then pure uint64 numpy.
+small unique vocabulary, so we hash only the unique values (scalar python
+murmur with a per-process memo) and scatter back by index: the entries of
+an Arrow dictionary go straight to ``hash_unique_terms``, any other input
+through ``np.unique`` first (``hash_terms``); n-gram combination is then
+pure uint64 numpy.
 """
 
 from __future__ import annotations
@@ -53,11 +55,30 @@ def murmur64a(data: bytes | str, seed: int = MURMUR_SEED_TEXT) -> int:
 _memo: dict[str, int] = {}
 
 
+def hash_unique_terms(terms: "list[str]", memoize: bool = True) -> np.ndarray:
+    """Hash a list of DISTINCT term strings (an Arrow dictionary, the
+    unique side of ``np.unique``) → uint64 per entry, in order.  No
+    dedup pass: each entry is hashed (or found in the per-process memo)
+    once.  ``memoize`` as in ``hash_terms``."""
+    if not memoize:
+        return np.array([murmur64a(t) for t in terms], dtype=np.uint64)
+    memo = _memo
+    vals = [memo.get(t) for t in terms]
+    for i, v in enumerate(vals):
+        if v is None:
+            t = terms[i]
+            vals[i] = v = murmur64a(t)
+            if len(memo) < 4_000_000:  # bound the memo
+                memo[t] = v
+    return np.array(vals, dtype=np.uint64)
+
+
 def hash_terms(terms, memoize: bool = True) -> np.ndarray:
     """Hash an array/sequence of term strings → uint64 array.
 
-    Only unique values are hashed (memoized per process); duplicates are
-    scattered back with the inverse index from np.unique.
+    Only unique values are hashed (``hash_unique_terms``, memoized per
+    process); duplicates are scattered back with the inverse index from
+    np.unique.
 
     ``memoize=False`` skips the process-global memo entirely — use it for
     HIGH-CARDINALITY non-term inputs (URLs, content strings): near-unique
@@ -68,20 +89,7 @@ def hash_terms(terms, memoize: bool = True) -> np.ndarray:
     if arr.size == 0:
         return np.empty(0, dtype=np.uint64)
     uniq, inv = np.unique(arr, return_inverse=True)
-    out = np.empty(len(uniq), dtype=np.uint64)
-    if memoize:
-        memo = _memo
-        for i, t in enumerate(uniq.tolist()):
-            v = memo.get(t)
-            if v is None:
-                v = murmur64a(t)
-                if len(memo) < 4_000_000:  # bound the memo
-                    memo[t] = v
-            out[i] = v
-    else:
-        for i, t in enumerate(uniq.tolist()):
-            out[i] = murmur64a(t)
-    return out[inv]
+    return hash_unique_terms(uniq.tolist(), memoize)[inv]
 
 
 def rotl1(x: np.ndarray) -> np.ndarray:

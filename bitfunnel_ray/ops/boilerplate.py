@@ -38,7 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from bitfunnel_ray.functions.hashing import hash_terms
+from bitfunnel_ray.functions.hashing import hash_terms, hash_unique_terms
 from bitfunnel_ray.stages.tokenize import flat_tokens, hash_token_array
 
 _COUNT_SCHEMA = pa.schema(
@@ -291,7 +291,7 @@ def strip_boilerplate(docs, boilerplate: pa.Table, k: int = 4):
         src = _arr(t["source"])
         senc = pc.dictionary_encode(src)
         sidx = senc.indices.to_numpy().astype(np.int64)
-        svh = hash_terms(np.asarray(senc.dictionary.to_pylist(), dtype=object))
+        svh = hash_unique_terms(senc.dictionary.to_pylist())
         dh = svh[sidx]  # per-doc source hash
         _, doc_of, doclen = flat_tokens(t["text"])
         drop = np.zeros(len(doc_of) + 1, np.int64)  # +1: span-end scratch

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count, Min
+from ray.data.aggregate import Min
 
 from bitfunnel_ray.functions.hashing import hash_terms
 from bitfunnel_ray.stages.tokenize import flat_tokens, hash_token_array

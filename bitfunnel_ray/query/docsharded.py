@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -48,7 +49,7 @@ from bitfunnel_ray.build import segment as seglib
 from bitfunnel_ray.functions.bm25 import term_weight
 from bitfunnel_ray.query import ast
 from bitfunnel_ray.query.parser import parse_query
-from bitfunnel_ray.query.runner import map_query_log
+from bitfunnel_ray.query.runner import ResultRows, map_query_log
 from bitfunnel_ray.query.vocab import gather
 from bitfunnel_ray.query.wand import check_sort_direction, ranked_table, top_k
 
@@ -134,8 +135,19 @@ class DocShardActor:
         df_map: "dict[tuple[int, int], int]",
         n_docs: int,
         avgdl: float,
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        return [self.search_topk(q, k, df_map, n_docs, avgdl) for q in queries]
+        counts: bool = False,
+    ) -> "list[tuple]":
+        """Local top-k ``(doc_ids, scores)`` per query under GLOBAL
+        statistics; with ``counts`` each entry also carries the local
+        match count."""
+        out = []
+        for q in queries:
+            with self._global_stats(df_map, n_docs, avgdl) as eng:
+                node = eng._parse_rewritten(q)
+                matches = eng.eval(node)
+                top = top_k(matches, eng.score(node, matches), k)
+            out.append((*top, len(matches)) if counts else top)
+        return out
 
     @contextlib.contextmanager
     def _global_stats(self, df_map, n_docs: int, avgdl: float):
@@ -161,9 +173,7 @@ class DocShardActor:
         avgdl: float,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Local top-k under GLOBAL statistics (returns doc_ids, scores)."""
-        with self._global_stats(df_map, n_docs, avgdl) as eng:
-            t = eng.search(query, k=k)
-        return t["doc_id"].to_numpy(zero_copy_only=False), t["score"].to_numpy(zero_copy_only=False)
+        return self.search_topk_many([query], k, df_map, n_docs, avgdl)[0]
 
     def search_topk_sorted(
         self,
@@ -283,7 +293,7 @@ class DocShardedServer:
         if sort_by is None:
             # phase 2: the one-query case of the batch scoring round
             top = _search_many(self.shards, [query], k, df_map, self.n_docs, self.avgdl)[0]
-            return ranked_table(*top)
+            return ranked_table(*top[:2])
         parts = ray.get(
             [
                 s.search_topk_sorted.remote(query, k, df_map, self.n_docs, self.avgdl, sort_by)
@@ -491,8 +501,9 @@ class DocShardedServer:
         two-phase protocol PER BATCH — one scoring-pairs RPC, one
         term-stats RPC per shard for the batch's UNION of terms, one
         scoring RPC per shard for all queries — so the per-query RPC cost
-        amortizes across the batch.  Output: (query_id, rank, doc_id,
-        score) rows, identical to per-query ``search()``."""
+        amortizes across the batch.  Output: the local front's result
+        rows (``runner.ResultRows``), ranked rows identical to per-query
+        ``search()``; a query that fails becomes an error row."""
         kwargs = {"shard_handles": self.shards, "k": k, "n_docs": self.n_docs, "avgdl": self.avgdl}
         return map_query_log(
             queries, _DocShardedFront, kwargs, concurrency, batch_size, num_cpus_per_front
@@ -537,17 +548,27 @@ def _merge_topk(parts, k: int, direction: "str | None" = None):
 
 def _search_many(shards, queries: "list[str]", k: int, df_map, n_docs: int, avgdl: float):
     """The scoring round for a batch of queries under global statistics:
-    one RPC per shard, then each query's per-shard lists merged."""
+    one RPC per shard, then each query's per-shard lists merged →
+    ``(doc_ids, scores, n_matches)`` per query."""
     per_shard = ray.get(
-        [s.search_topk_many.remote(queries, k, df_map, n_docs, avgdl) for s in shards]
+        [s.search_topk_many.remote(queries, k, df_map, n_docs, avgdl, counts=True) for s in shards]
     )
-    return [_merge_topk([res[i] for res in per_shard], k) for i in range(len(queries))]
+    return [
+        (*_merge_topk([r[i][:2] for r in per_shard], k), sum(r[i][2] for r in per_shard))
+        for i in range(len(queries))
+    ]
 
 
 class _DocShardedFront:
     """map_batches front-end for ``DocShardedServer.run``: per batch, the
     stats round over the batch's terms (``_global_df``; global df cached
-    across batches) + the scoring round (``_search_many``)."""
+    across batches) + the scoring round (``_search_many``), as
+    ``runner.ResultRows``.  The two rounds serve the whole batch, so each
+    query gets an even share of their time: the stats round as
+    ``plan_s``, the scoring round (the shards match and score in one
+    call) as ``score_s``.  If the batch fails, its queries are served one
+    at a time, so only a failing query (a malformed one) becomes an error
+    row."""
 
     def __init__(self, shard_handles, k: int, n_docs: int, avgdl: float):
         self.shards = shard_handles
@@ -557,9 +578,30 @@ class _DocShardedFront:
         self._df_cache: dict[tuple[int, int], int] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        qids = batch["query_id"].to_numpy(zero_copy_only=False)
         qs = batch["query"].to_pylist()
+        rows = ResultRows()
+        try:
+            self._serve(qids, qs, rows)
+        except Exception:
+            rows = ResultRows()
+            for qid, q in zip(qids, qs):
+                t0 = time.perf_counter()
+                try:
+                    self._serve([qid], [q], rows)
+                except Exception as e:
+                    # a shard's exception arrives as a RayTaskError; name its cause
+                    cause = getattr(e, "cause", None) or e
+                    rows.emit(qid, time.perf_counter() - t0, err=f"{type(cause).__name__}: {cause}")
+        return rows.table()
+
+    def _serve(self, qids, qs: "list[str]", rows: ResultRows) -> None:
+        t0 = time.perf_counter()
         df_map = _global_df(self.shards, qs, self._df_cache)
+        t1 = time.perf_counter()
         tops = _search_many(self.shards, qs, self.k, df_map, self.n_docs, self.avgdl)
-        out = pa.concat_tables([ranked_table(d, s) for d, s in tops])
-        qids = np.repeat(batch["query_id"].to_numpy(zero_copy_only=False), [len(d) for d, _ in tops])
-        return out.add_column(0, "query_id", pa.array(qids, pa.int64()))
+        t2 = time.perf_counter()
+        n = len(qs)
+        for qid, (docs, scores, n_matches) in zip(qids, tops):
+            rows.emit(qid, (t2 - t0) / n, docs=docs, scores=scores, n_matches=n_matches,
+                      phases=(0.0, (t1 - t0) / n, 0.0, (t2 - t1) / n))

@@ -13,7 +13,8 @@ swallows per-query exceptions too, QueryRunner.cpp:263-267).
 fronts' ``run``: ``run_query_log`` (``QueryActor``, local engine),
 ``ShardedServer.run`` (``ShardedQueryActor``, the same actor over the
 term-sharded engine, prefetching each batch's postings) and
-``DocShardedServer.run`` (its batch front).
+``DocShardedServer.run`` (its batch front); all three return
+``ResultRows`` tables.
 """
 
 from __future__ import annotations
@@ -28,12 +29,61 @@ from bitfunnel_ray.query.engine import SearchEngine
 from bitfunnel_ray.query.wand import top_k
 
 
+_PHASES = ("parse_s", "plan_s", "match_s", "score_s")
+
+
+class ResultRows:
+    """The serving result table, built query by query: one row per ranked
+    document, or one marker row (rank 0, doc 0, ``n_matches`` 0, or -1
+    with an ``error``) for a query without results.  Every front's
+    ``run`` returns this shape, and ``summarize`` reads it."""
+
+    def __init__(self):
+        self.cols = {c: [] for c in ("query_id", "rank", "doc_id", "score", "n_matches",
+                                     "latency_s", "postings_rows", *_PHASES, "error")}
+
+    def emit(self, qid, latency_s: float, *, docs=(), scores=None, n_matches: int = 0,
+             err: str = "", postings_rows: int = 0, phases=(0.0, 0.0, 0.0, 0.0)) -> None:
+        """One query's rows; ``phases`` are its (parse, plan, match, score)
+        seconds."""
+        c = self.cols
+        n = len(docs)
+        m = max(n, 1)
+        c["query_id"].append(np.full(m, qid, dtype=np.uint32))
+        if n == 0:
+            # marker/error row (rank 0) so the query still appears
+            c["rank"].append(np.zeros(1, dtype=np.uint32))
+            c["doc_id"].append(np.zeros(1, dtype=np.uint64))
+            c["score"].append(np.zeros(1))
+            c["n_matches"].append(np.array([-1 if err else 0], dtype=np.int64))
+        else:
+            c["rank"].append(np.arange(1, n + 1, dtype=np.uint32))
+            c["doc_id"].append(docs)
+            c["score"].append(scores)
+            c["n_matches"].append(np.full(n, n_matches, dtype=np.int64))
+        c["latency_s"].append(np.full(m, latency_s, dtype=np.float64))
+        c["postings_rows"].append(np.full(m, postings_rows, dtype=np.int64))
+        for name, v in zip(_PHASES, phases):
+            c[name].append(np.full(m, v, dtype=np.float64))
+        c["error"].append([err] * m)
+
+    def table(self) -> pa.Table:
+        types = {"query_id": pa.uint32(), "rank": pa.uint32(), "doc_id": pa.uint64(),
+                 "n_matches": pa.int64(), "postings_rows": pa.int64()}
+        cols = {
+            name: pa.array(np.concatenate(parts) if parts else [], types.get(name, pa.float64()))
+            for name, parts in self.cols.items() if name != "error"
+        }
+        cols["error"] = pa.array([e for part in self.cols["error"] for e in part], pa.string())
+        return pa.table(cols)
+
+
 def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Table:
     """Evaluate parsed query nodes against an engine (local or sharded) and
-    emit the serving result table.  ``nodes[i] is None`` means parse failure
-    with message ``parse_errs[i]``.  Per-query failures become error rows,
-    never job failures (the reference swallows per-query exceptions too,
-    QueryRunner.cpp:263-267).
+    emit the serving result table (``ResultRows``).  ``nodes[i] is None``
+    means parse failure with message ``parse_errs[i]``.  Per-query
+    failures become error rows, never job failures (the reference swallows
+    per-query exceptions too, QueryRunner.cpp:263-267).
 
     Per-phase latency split — the QuerySummaryStatistics analog (reference:
     src/Plan/src/QueryRunner.cpp:67-92,353-378 separates parsing, planning
@@ -46,45 +96,19 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
     ``latency_s`` stays the independently-measured per-query wall time
     (parse excluded, as before); a pytest asserts plan+match+score ≈ it.
     """
-    out_qid, out_rank, out_doc, out_score = [], [], [], []
-    out_matches, out_lat, out_rows, out_err = [], [], [], []
-    out_phase = {p: [] for p in ("parse_s", "plan_s", "match_s", "score_s")}
+    rows = ResultRows()
     if parse_s is None:
         parse_s = [0.0] * len(nodes)
 
     def rows_delta(base):
         return getattr(engine, "stat_postings_rows", 0) - base
 
-    def emit(qid, t0, base, *, docs=(), scores=None, n_matches=0,
-             err="", phases=(0.0, 0.0, 0.0), pparse=0.0):
-        n = len(docs)
-        m = max(n, 1)
-        out_qid.append(np.full(m, qid, dtype=np.uint32))
-        if n == 0:
-            # marker/error row (rank 0) so the query still appears
-            out_rank.append(np.array([0], dtype=np.uint32))
-            out_doc.append(np.array([0], dtype=np.uint64))
-            out_score.append(np.array([0.0]))
-            out_matches.append(
-                np.array([-1 if err else 0], dtype=np.int64)
-            )
-        else:
-            out_rank.append(np.arange(1, n + 1, dtype=np.uint32))
-            out_doc.append(docs)
-            out_score.append(scores)
-            out_matches.append(np.full(n, n_matches, dtype=np.int64))
-        out_lat.append(np.full(m, time.perf_counter() - t0, dtype=np.float64))
-        out_rows.append(np.full(m, rows_delta(base), dtype=np.int64))
-        out_err.append([err] * m)
-        out_phase["parse_s"].append(np.full(m, pparse, dtype=np.float64))
-        for name, v in zip(("plan_s", "match_s", "score_s"), phases):
-            out_phase[name].append(np.full(m, v, dtype=np.float64))
-
     for qid, node, perr, pparse in zip(qids, nodes, parse_errs, parse_s):
         t0 = time.perf_counter()
         base = getattr(engine, "stat_postings_rows", 0)
         if node is None:
-            emit(qid, t0, base, err=perr or "ParseError", pparse=pparse)
+            rows.emit(qid, time.perf_counter() - t0, err=perr or "ParseError",
+                      phases=(pparse, 0.0, 0.0, 0.0))
             continue
         try:
             # PLAN: resolve every term the evaluation will touch (decode /
@@ -99,29 +123,14 @@ def eval_queries(engine, qids, nodes, parse_errs, k: int, parse_s=None) -> pa.Ta
             t2 = time.perf_counter()
             docs, scores = top_k(matches, engine.score(node, matches), k)
             t3 = time.perf_counter()
-            emit(
-                qid, t0, base,
-                docs=docs, scores=scores, n_matches=len(matches),
-                phases=(t1 - t0, t2 - t1, t3 - t2), pparse=pparse,
+            rows.emit(
+                qid, t3 - t0, docs=docs, scores=scores, n_matches=len(matches),
+                postings_rows=rows_delta(base), phases=(pparse, t1 - t0, t2 - t1, t3 - t2),
             )
         except Exception as e:  # per-query error row
-            emit(qid, t0, base, err=f"{type(e).__name__}: {e}", pparse=pparse)
-    return pa.table(
-        {
-            "query_id": pa.array(np.concatenate(out_qid), pa.uint32()),
-            "rank": pa.array(np.concatenate(out_rank), pa.uint32()),
-            "doc_id": pa.array(np.concatenate(out_doc), pa.uint64()),
-            "score": pa.array(np.concatenate(out_score), pa.float64()),
-            "n_matches": pa.array(np.concatenate(out_matches), pa.int64()),
-            "latency_s": pa.array(np.concatenate(out_lat), pa.float64()),
-            "postings_rows": pa.array(np.concatenate(out_rows), pa.int64()),
-            "parse_s": pa.array(np.concatenate(out_phase["parse_s"]), pa.float64()),
-            "plan_s": pa.array(np.concatenate(out_phase["plan_s"]), pa.float64()),
-            "match_s": pa.array(np.concatenate(out_phase["match_s"]), pa.float64()),
-            "score_s": pa.array(np.concatenate(out_phase["score_s"]), pa.float64()),
-            "error": pa.array([e for part in out_err for e in part], pa.string()),
-        }
-    )
+            rows.emit(qid, time.perf_counter() - t0, err=f"{type(e).__name__}: {e}",
+                      postings_rows=rows_delta(base), phases=(pparse, 0.0, 0.0, 0.0))
+    return rows.table()
 
 
 class QueryActor:

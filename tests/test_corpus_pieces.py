@@ -1,8 +1,9 @@
 """The build's two corpus passes over parquet pieces
 (build/builder._file_plan, ``_corpus_map``): a plain ``read_parquet``
 corpus and the same rows as a transformed Dataset build the same index,
-the piece plan is deterministic and bounded by the spill batch, and a
-lost spill shard fails the build on either path."""
+the piece plan is deterministic and bounded by the spill batch and by
+half the corpus (a small corpus builds the same index from two pieces
+as from one), and a lost spill shard fails the build on either path."""
 
 import glob
 import os
@@ -115,3 +116,27 @@ def test_zero_row_corpus_is_refused(files, tmp_path, make):
     assert segment.load_manifest(str(out)) is None
     assert not os.path.exists(out / "docmeta.tmp") and not os.path.exists(out / "docmeta")
     assert list(spill.iterdir()) == []
+
+
+def test_small_corpus_spills_in_two_pieces(files, tmp_path, monkeypatch):
+    """A plain corpus below two spill batches is planned as pieces of at
+    most ⌈n/2⌉ rows, so its spill runs as ≥ 2 tasks.  The index is the
+    one the uncapped single-piece plan builds: byte-identical dict,
+    vocab and heads files, equal docmeta rows."""
+    monkeypatch.setattr(builder, "_spill_batch_docs", lambda num_buckets: 1024)
+    segs, n_pieces = {}, {}
+    for kind, min_pieces in (("capped", builder.MIN_PIECES), ("uncapped", 1)):
+        monkeypatch.setattr(builder, "MIN_PIECES", min_pieces)
+        pieces = builder._file_plan(files, 1024)[1]
+        assert max(sum(hi - lo for _p, lo, hi in piece) for piece in pieces) <= 600 // min_pieces
+        segs[kind] = str(tmp_path / kind)
+        m = builder.build_index(_plain(files), segs[kind], CFG)
+        assert m["complete"] and m["n_docs"] == 600 and m["n_head_terms"] > 0
+        n_pieces[kind] = len(glob.glob(os.path.join(segs[kind], "docmeta", "*.parquet")))
+        assert n_pieces[kind] == len(pieces)
+    assert n_pieces == {"capped": 2, "uncapped": 1}
+    a, b = (_files_of(segs[k]) for k in ("capped", "uncapped"))
+    assert len(a) > 4 and a.keys() == b.keys()
+    assert [n for n in a if a[n] != b[n]] == []
+    meta = [pq.read_table(os.path.join(s, "docmeta")).sort_by("doc_id") for s in segs.values()]
+    assert meta[0].equals(meta[1])

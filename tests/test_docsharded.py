@@ -333,55 +333,34 @@ def test_malformed_query_raises_parse_error(waved):
 
 
 def test_malformed_query_log_raises_parse_error(waved):
-    """``run`` over a log with one malformed query fails with the shards'
-    ParseError (named with its message in the error Ray Data raises)
-    instead of hanging.  Runs in its own process (own Ray
-    session) under a timeout, so a hang fails the test.  The local and
-    term-sharded fronts return a per-query error row instead; once this
-    front does too (ROADMAP aim 2), assert that row here."""
-    import os
-    import signal
-    import subprocess
-    import sys
-    import textwrap
+    """``run`` over a log with one malformed query returns that query's
+    ParseError as an error row and ranks the others, with the same
+    columns and error text as the local front (``run_query_log``), so
+    ``runner.summarize`` reads it."""
+    from bitfunnel_ray.query.runner import run_query_log, summarize
 
-    script = textwrap.dedent(
-        f"""
-        import pyarrow as pa
-        import ray
-        import ray.data as rd
-
-        ray.init(address="local", num_cpus=2, include_dashboard=False,
-                 logging_level="ERROR")
-        rd.DataContext.get_current().enable_progress_bars = False
-        from bitfunnel_ray.query.docsharded import DocShardedServer
-
-        srv = DocShardedServer({waved!r}, n_shards=2, num_cpus_per_shard=0.25)
-        log = pa.table({{"query_id": pa.array([0, 1], pa.int64()),
-                        "query": pa.array(["spark join", "spark AND ("])}})
-        try:
-            srv.run(log, k=5, concurrency=1, num_cpus_per_front=0.5).materialize()
-            print("NO ERROR")
-        except Exception as e:
-            # Ray Data re-raises a batch's failure as a UserCodeException
-            # that carries the cause as text only
-            msg = str(e)
-            print("PARSE_ERROR" if "ParseError: Expected token (at position 11)" in msg
-                  else "OTHER " + msg[-1500:].replace("\\n", " "))
-        srv.shutdown()
-        ray.shutdown()
-        """
-    )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
-    # own process group: a hung run is killed with the Ray daemons it started
-    p = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True, env=env,
-                         start_new_session=True)
+    log = pa.table({"query_id": pa.array([0, 1, 2], pa.int64()),
+                    "query": pa.array(["spark join", "spark AND (", "table"])})
+    srv = DocShardedServer(waved, n_shards=2, num_cpus_per_shard=0.25)
     try:
-        out, err = p.communicate(timeout=240)
-    except subprocess.TimeoutExpired:
-        os.killpg(p.pid, signal.SIGKILL)
-        p.communicate()
-        raise AssertionError("run() over a malformed query log did not finish in 240 s")
-    assert out.strip().splitlines()[-1:] == ["PARSE_ERROR"], (out[-2000:], err[-3000:])
+        got = srv.run(log, k=5, concurrency=1, num_cpus_per_front=0.5).materialize()
+        want = {q: srv.search(q, k=5) for q in ("spark join", "table")}
+    finally:
+        srv.shutdown()
+    local = run_query_log(log, waved, k=5, concurrency=1).to_pandas()
+    rows = got.to_pandas().sort_values(["query_id", "rank"])
+    assert rows.dtypes.to_dict() == local.dtypes.to_dict()
+    assert list(rows.columns) == list(local.columns)
+    bad = rows[rows.query_id == 1]
+    assert len(bad) == 1 and bad.n_matches.tolist() == [-1]
+    assert bad.error.iloc[0].startswith("ParseError: Expected token (at position 11)")
+    assert bad.error.iloc[0] == local[local.query_id == 1].error.iloc[0]
+    for qid, q in ((0, "spark join"), (2, "table")):
+        sub = rows[rows.query_id == qid]
+        assert (sub.error == "").all() and (sub.n_matches > 0).all()
+        assert sub.doc_id.tolist() == want[q]["doc_id"].to_pylist()
+        assert sub.score.tolist() == want[q]["score"].to_pylist()
+    lq = local.groupby("query_id").n_matches.first()
+    assert rows.groupby("query_id").n_matches.first().tolist() == lq.tolist()
+    s = summarize(got)
+    assert s["n_queries"] == 3 and s["n_errors"] == 1
